@@ -60,8 +60,10 @@ void barrier_table() {
   for (int members : {1, 2, 4, 8, 12, 18}) {
     t.row(members, barrier_cost(members));
   }
-  note("the central-counter barrier is linear-ish in members: each arrival\n"
-       "is a shared-memory update through the one FLEX bus.");
+  note("the barrier is a k-ary combining tree (k = collective fan-out, 4):\n"
+       "arrivals climb it through locally polled flags and only the root's\n"
+       "release crosses the FLEX bus, so the cost grows by one tree level\n"
+       "per k-fold growth in members, not with each arrival.");
 }
 
 void critical_table() {

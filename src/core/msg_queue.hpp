@@ -48,7 +48,8 @@ class MessageQueue {
   /// Earliest-arrived message of `type`, or end() if none is queued.
   [[nodiscard]] iterator first_of(const std::string& type) {
     auto it = by_type_.find(type);
-    return it == by_type_.end() ? list_.end() : it->second.front();
+    return it == by_type_.end() || it->second.empty() ? list_.end()
+                                                      : it->second.front();
   }
 
   /// Remove and return the earliest message (queue must be non-empty).
@@ -85,10 +86,13 @@ class MessageQueue {
     } else {
       positions.erase(std::find(positions.begin(), positions.end(), it));
     }
-    if (positions.empty()) by_type_.erase(bucket);
+    // An emptied bucket stays: the next message of its type reuses the map
+    // node and the deque instead of allocating both again.
   }
 
-  List list_;                                         ///< arrival order
+  List list_;  ///< arrival order
+  /// One bucket per message type ever queued, so bounded by the task's
+  /// distinct types; an empty bucket means none of that type is queued.
   std::map<std::string, std::deque<iterator>> by_type_;
 };
 

@@ -73,6 +73,25 @@ void Engine::schedule(Tick at, EventQueue::Action action) {
   queue_.push(std::max(at, now_), std::move(action));
 }
 
+void Engine::schedule_resume(Tick at, Process& p, std::uint64_t word) {
+  if (shutting_down_) return;
+  queue_.push_resume(std::max(at, now_), p, word);
+}
+
+bool Engine::run_ahead(Tick at) {
+  at = std::max(at, now_);
+  // An event already queued at `at` has a lower sequence number than the
+  // resume would get, so it must fire first: run ahead only past strictly
+  // later events.
+  if (shutting_down_ || at > horizon_ ||
+      (!queue_.empty() && queue_.next_tick() <= at)) {
+    return false;
+  }
+  now_ = at;
+  queue_.advance_to(at);
+  return true;
+}
+
 Process& Engine::spawn(std::string name, Process::Body body) {
   processes_.push_back(std::unique_ptr<Process>(
       new Process(*this, next_process_id_++, std::move(name), std::move(body))));
@@ -106,11 +125,14 @@ void Engine::on_process_finished() {
 
 bool Engine::step() {
   if (queue_.empty()) return false;
-  Tick at = 0;
-  EventQueue::Action action = queue_.pop(&at);
-  now_ = std::max(now_, at);
+  const EventQueue::Event event = queue_.pop_event();
+  now_ = std::max(now_, event.at);
   ++events_fired_;
-  action();
+  if (event.process != nullptr) {
+    event.process->fire_resume(event.arg);
+  } else {
+    queue_.take_action(event)();
+  }
   if (unreaped_finished_ >= kReapBatch) reap_finished();
   if (failure_) {
     std::exception_ptr e = failure_;
@@ -127,6 +149,14 @@ Tick Engine::run() {
 }
 
 Tick Engine::run_until(Tick limit) {
+  // The horizon is restored on every exit, including a body's exception
+  // rethrown from step().
+  struct RestoreHorizon {
+    Tick& horizon;
+    Tick saved;
+    ~RestoreHorizon() { horizon = saved; }
+  } restore{horizon_, horizon_};
+  horizon_ = limit;
   while (!queue_.empty() && queue_.next_tick() <= limit) {
     step();
   }

@@ -165,6 +165,8 @@ void Process::sleep_until(Tick at) {
   if (kill_requested_) throw ProcessKilled{};
   const std::uint64_t epoch = ++wait_epoch_;
   timed_out_ = false;
+  // Decided here, before any switch, so both backends take the same path.
+  if (engine_.run_ahead(at)) return;
   state_ = State::blocked;
   schedule_resume(at, /*timeout=*/false, epoch);
   switch_to_engine();
@@ -172,15 +174,17 @@ void Process::sleep_until(Tick at) {
 }
 
 void Process::schedule_resume(Tick at, bool timeout, std::uint64_t epoch) {
-  engine_.schedule(at, [this, timeout, epoch] {
-    if (epoch != wait_epoch_) return;  // stale: the wait already ended
-    if (state_ != State::blocked && state_ != State::runnable &&
-        state_ != State::created) {
-      return;
-    }
-    timed_out_ = timeout;
-    run_slice();
-  });
+  engine_.schedule_resume(at, *this, epoch << 1 | (timeout ? 1U : 0U));
+}
+
+void Process::fire_resume(std::uint64_t word) {
+  if (word >> 1 != wait_epoch_) return;  // stale: the wait already ended
+  if (state_ != State::blocked && state_ != State::runnable &&
+      state_ != State::created) {
+    return;
+  }
+  timed_out_ = (word & 1U) != 0;
+  run_slice();
 }
 
 }  // namespace pisces::sim

@@ -86,7 +86,9 @@ class Process {
   /// deadline fired first (timeout), false if explicitly woken.
   bool wait_until(Tick deadline);
 
-  /// Yield and resume at time `at` (>= now). Other processes run meanwhile.
+  /// Yield and resume at time `at` (>= now). Other processes run meanwhile;
+  /// when none has an event due by `at`, the process runs ahead instead
+  /// (see Engine) and returns without yielding.
   void sleep_until(Tick at);
 
  private:
@@ -104,9 +106,13 @@ class Process {
   void run_slice();
   /// Process side: hand control back to the engine loop.
   void switch_to_engine();
-  /// Schedule a resume event for a blocked process. `timeout` distinguishes
-  /// a deadline expiry from an explicit wake.
+  /// Schedule a typed resume event for a blocked process. `timeout`
+  /// distinguishes a deadline expiry from an explicit wake; the word queued
+  /// packs it with `epoch`.
   void schedule_resume(Tick at, bool timeout, std::uint64_t epoch);
+  /// Engine side: a resume event fired. A no-op when stale (its wait has
+  /// already ended, or the process has finished).
+  void fire_resume(std::uint64_t word);
   /// Mark finished and release per-process resources kept for the body.
   void finish();
 

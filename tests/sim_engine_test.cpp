@@ -4,8 +4,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <functional>
+#include <stdexcept>
 #include <string>
 #include <vector>
+
+#include "sim/random.hpp"
 
 namespace pisces::sim {
 namespace {
@@ -471,6 +476,205 @@ TEST(Backend, TickTrajectoriesIdenticalAcrossBackends) {
     return std::tuple(final_tick, eng.events_fired(), log);
   };
   EXPECT_EQ(simulate(Backend::fibers), simulate(Backend::threads));
+}
+
+// ---------------------------------------------------------------------------
+// Run-ahead and typed resume events. A process whose own resume would be the
+// next event fired moves the clock and keeps running; every other resume is
+// a typed queue entry, and closures live in a recycled side store.
+// ---------------------------------------------------------------------------
+
+TEST_P(BackendTest, LoneSleeperRunsAheadWithoutEvents) {
+  Engine eng(GetParam());
+  std::vector<Tick> stamps;
+  Process& p = eng.spawn("lone", [&](Process& self) {
+    for (int i = 0; i < 10; ++i) {
+      self.sleep_until(eng.now() + 7);
+      stamps.push_back(eng.now());
+    }
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  EXPECT_EQ(eng.run(), 70);
+  ASSERT_EQ(stamps.size(), 10u);
+  EXPECT_EQ(stamps.back(), 70);
+  EXPECT_EQ(eng.events_fired(), 2u);  // the wake closure and the first resume
+}
+
+TEST_P(BackendTest, RunUntilStopsLoneProcessAtLimit) {
+  auto start = [](Engine& eng) {
+    Process& p = eng.spawn("lone", [&eng](Process& self) {
+      for (int i = 0; i < 10; ++i) self.sleep_until(eng.now() + 7);
+    });
+    eng.schedule(0, [&eng, &p] { eng.wake(p); });
+  };
+  Engine whole(GetParam());
+  start(whole);
+  const Tick uninterrupted = whole.run();
+
+  Engine split(GetParam());
+  start(split);
+  EXPECT_EQ(split.run_until(30), 28);
+  EXPECT_LE(split.now(), 30);
+  EXPECT_EQ(split.pending_events(), 1u);  // the resume at 35
+  EXPECT_EQ(split.run(), uninterrupted);
+}
+
+TEST_P(BackendTest, RunUntilRestoresHorizonWhenBodyThrows) {
+  Engine eng(GetParam());
+  Process& thrower = eng.spawn("thrower", [](Process&) {
+    throw std::runtime_error("boom");
+  });
+  Process& sleeper = eng.spawn("sleeper", [&eng](Process& self) {
+    for (int i = 0; i < 5; ++i) self.sleep_until(eng.now() + 100);
+  });
+  eng.schedule(0, [&] { eng.wake(thrower); });
+  EXPECT_THROW(eng.run_until(10), std::runtime_error);
+  eng.schedule(20, [&] { eng.wake(sleeper); });
+  const std::uint64_t before = eng.events_fired();
+  EXPECT_EQ(eng.run(), 520);
+  // The wake closure and the sleeper's first resume; with the old limit of
+  // 10 left in place, each of the five sleeps would have been an event too.
+  EXPECT_EQ(eng.events_fired() - before, 2u);
+}
+
+// Closure 'a' is queued at 10 before the sleeper's resume, so it has the
+// lower sequence number and the sleeper may not run ahead past it; 'b' is
+// pushed at 10 after the resume.
+TEST_P(BackendTest, ResumeAndClosuresAtOneTickFireInPushOrder) {
+  Engine eng(GetParam());
+  std::string log;
+  Process& p = eng.spawn("p", [&](Process& self) {
+    self.sleep_until(10);
+    log += 'p';
+  });
+  eng.schedule(10, [&] {
+    log += 'a';
+    eng.schedule(10, [&] { log += 'b'; });
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  eng.run();
+  EXPECT_EQ(log, "apb");
+}
+
+TEST_P(BackendTest, StaleTypedResumeIsANoOp) {
+  Engine eng(GetParam());
+  int woken = 0;
+  Process& p = eng.spawn("p", [&](Process& self) {
+    (void)self.wait_until(100);  // woken at 50: the resume at 100 goes stale
+    ++woken;
+    self.wait();  // must not be ended by the stale resume
+    ++woken;
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  eng.schedule(50, [&] { eng.wake(p); });
+  eng.run();
+  EXPECT_EQ(woken, 1);
+  EXPECT_EQ(p.state(), Process::State::blocked);
+  EXPECT_EQ(eng.now(), 100);  // the stale resume still fired
+  EXPECT_EQ(eng.events_fired(), 5u);
+}
+
+TEST(EventQueue, ClosureSlotsAreReused) {
+  EventQueue q;
+  int fired = 0;
+  for (Tick t = 0; t < 4; ++t) q.push(t, [&fired] { ++fired; });
+  for (Tick t = 4; t < 100'000; ++t) {
+    q.pop()();
+    q.push(t, [&fired] { ++fired; });
+  }
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(fired, 100'000);
+  EXPECT_EQ(q.closure_slots(), 4u);
+}
+
+TEST(EventQueue, AdvanceKeepsSameTickOrder) {
+  EventQueue q;
+  std::vector<int> order;
+  auto rec = [&order](int i) { return [&order, i] { order.push_back(i); }; };
+  q.push(5, rec(0));
+  q.push(12, rec(1));
+  q.pop()();          // tick 5 is current
+  q.advance_to(9);    // as a process running ahead to 9 does
+  q.push(9, rec(2));  // same-tick fast path
+  q.push(12, rec(3));
+  q.push(9, rec(4));
+  EXPECT_EQ(q.next_tick(), 9);
+  while (!q.empty()) q.pop()();
+  EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 1, 3}));
+}
+
+// Differential oracle for run-ahead. A seeded random program of sleeps,
+// deadline waits and cross-process wakes runs twice: plain, and with a no-op
+// "ticker" closure re-armed at every tick, which keeps an event queued at
+// every future tick so that no process can ever run ahead. The global order
+// of process steps, with the tick and outcome of each, must be identical,
+// and the plain run must fire fewer events than the ticker run's processes.
+struct RandomRun {
+  std::vector<std::array<Tick, 4>> steps;  ///< (process, step, tick, outcome)
+  std::uint64_t events = 0;                ///< excluding the ticker's own
+};
+
+RandomRun run_random_program(Backend backend, std::uint64_t seed, bool ticker) {
+  Engine eng(backend);
+  Rng shape(seed);
+  const int n = 3 + static_cast<int>(shape.below(4));
+  RandomRun out;
+  std::vector<Process*> procs;
+  for (int i = 0; i < n; ++i) {
+    const std::uint64_t stream = seed * 131 + static_cast<std::uint64_t>(i);
+    procs.push_back(&eng.spawn("r" + std::to_string(i), [&, i, stream](Process& self) {
+      Rng rng(stream);
+      const Tick steps = rng.range(10, 40);
+      for (Tick k = 0; k < steps; ++k) {
+        Tick outcome = 0;
+        switch (rng.below(5)) {
+          case 0:
+            self.sleep_until(eng.now() + rng.range(1, 4));
+            break;
+          case 1:
+            self.sleep_until(eng.now() + rng.range(1, 40));
+            break;
+          case 2:  // aligned, so sleepers often meet at one tick
+            self.sleep_until((eng.now() / 8 + 1) * 8);
+            break;
+          case 3:
+            outcome = self.wait_until(eng.now() + rng.range(1, 12)) ? 2 : 1;
+            break;
+          default:
+            eng.wake(*procs[rng.below(procs.size())]);
+            outcome = 3;
+            break;
+        }
+        out.steps.push_back({i, k, eng.now(), outcome});
+      }
+    }));
+  }
+  for (Process* p : procs) {
+    eng.schedule(shape.range(0, 3), [&eng, p] { eng.wake(*p); });
+  }
+  std::uint64_t ticks = 0;
+  std::function<void()> tick = [&] {
+    ++ticks;
+    if (eng.live_process_count() > 0) eng.schedule(eng.now() + 1, tick);
+  };
+  if (ticker) eng.schedule(0, tick);
+  eng.run();
+  out.events = eng.events_fired() - ticks;
+  return out;
+}
+
+TEST_P(BackendTest, RunAheadMatchesTickerOracleOverRandomPrograms) {
+  std::uint64_t plain_events = 0;
+  std::uint64_t oracle_events = 0;
+  for (std::uint64_t seed = 1; seed <= 120; ++seed) {
+    const RandomRun plain = run_random_program(GetParam(), seed, false);
+    const RandomRun oracle = run_random_program(GetParam(), seed, true);
+    ASSERT_EQ(plain.steps, oracle.steps) << "seed " << seed;
+    EXPECT_LE(plain.events, oracle.events) << "seed " << seed;
+    plain_events += plain.events;
+    oracle_events += oracle.events;
+  }
+  EXPECT_LT(plain_events, oracle_events);
 }
 
 // ---------------------------------------------------------------------------
