@@ -1,12 +1,15 @@
 #include "config/configuration.hpp"
 
 #include <algorithm>
+#include <charconv>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
 #include <set>
 #include <sstream>
+#include <stdexcept>
+#include <type_traits>
 
 namespace pisces::config {
 
@@ -211,6 +214,76 @@ void Configuration::save(std::ostream& os) const {
   os << "end\n";
 }
 
+namespace {
+
+/// One line of a saved configuration, read token by token. Every value must
+/// be present and well formed, and the line must be consumed in full; each
+/// violation throws std::runtime_error naming the line and the token.
+class LineReader {
+ public:
+  LineReader(const std::string& line, int number) : in_(line), number_(number) {}
+
+  /// The next token, or nullopt at the end of the line.
+  std::optional<std::string> next() {
+    std::string tok;
+    if (!(in_ >> tok)) return std::nullopt;
+    last_ = tok;
+    return tok;
+  }
+  /// One value per argument for the token just read (a key such as
+  /// "reliable", or a cluster field such as "primary"). Strings take any
+  /// token; everything else must parse as a number in full.
+  template <typename... T>
+  void values(T&... out) {
+    const std::string key = last_;
+    const auto of = std::to_string(sizeof...(T));
+    int n = 0;
+    (value(key, std::to_string(++n) + " of " + of, out), ...);
+  }
+  template <typename T>
+  T number(const std::string& tok, const std::string& what) const {
+    T v{};
+    const char* end = tok.data() + tok.size();
+    const auto [stop, ec] = std::from_chars(tok.data(), end, v);
+    if (ec != std::errc{} || stop != end) {
+      fail(what + " is not a number: '" + tok + "'");
+    }
+    return v;
+  }
+  /// The rest of the line after the single space that follows the key.
+  std::string rest() {
+    std::string text;
+    std::getline(in_, text);
+    if (!text.empty() && text.front() == ' ') text.erase(0, 1);
+    return text;
+  }
+  void done() {
+    if (auto tok = next()) fail("unexpected trailing token '" + *tok + "'");
+  }
+  [[noreturn]] void fail(const std::string& what) const {
+    throw std::runtime_error("Configuration::load: line " +
+                             std::to_string(number_) + ": " + what);
+  }
+
+ private:
+  template <typename T>
+  void value(const std::string& key, const std::string& which, T& out) {
+    auto tok = next();
+    if (!tok) fail("'" + key + "' is missing value " + which);
+    if constexpr (std::is_same_v<T, std::string>) {
+      out = *tok;
+    } else {
+      out = number<T>(*tok, "'" + key + "' value " + which);
+    }
+  }
+
+  std::istringstream in_;
+  int number_;
+  std::string last_;
+};
+
+}  // namespace
+
 Configuration Configuration::load(std::istream& is) {
   Configuration cfg;
   cfg.clusters.clear();
@@ -218,113 +291,114 @@ Configuration Configuration::load(std::istream& is) {
   if (!std::getline(is, line) || line != "pisces-config v1") {
     throw std::runtime_error("Configuration::load: missing 'pisces-config v1' header");
   }
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string key;
-    if (!(ls >> key)) continue;
-    if (key == "end") break;
-    if (key == "name") {
-      ls >> cfg.name;
-    } else if (key == "timelimit") {
-      ls >> cfg.time_limit;
-    } else if (key == "accept-timeout") {
-      ls >> cfg.accept_default_timeout;
-    } else if (key == "heap") {
-      ls >> cfg.message_heap_bytes;
-    } else if (key == "loadfile") {
-      ls >> cfg.loadfile.name >> cfg.loadfile.mmos_kernel_bytes >>
-          cfg.loadfile.pisces_code_bytes >> cfg.loadfile.user_code_bytes;
-    } else if (key == "cluster") {
+  for (int number = 2; std::getline(is, line); ++number) {
+    LineReader r(line, number);
+    const std::optional<std::string> key = r.next();
+    if (!key) continue;
+    if (*key == "name") {
+      cfg.name = r.rest();  // names may hold spaces: the rest of the line
+      continue;
+    }
+    if (*key == "end") {
+      r.done();
+      break;
+    }
+    if (*key == "timelimit") {
+      r.values(cfg.time_limit);
+    } else if (*key == "accept-timeout") {
+      r.values(cfg.accept_default_timeout);
+    } else if (*key == "heap") {
+      r.values(cfg.message_heap_bytes);
+    } else if (*key == "loadfile") {
+      r.values(cfg.loadfile.name, cfg.loadfile.mmos_kernel_bytes,
+               cfg.loadfile.pisces_code_bytes, cfg.loadfile.user_code_bytes);
+    } else if (*key == "cluster") {
       ClusterConfig c;
-      std::string tok;
-      ls >> c.number;
-      while (ls >> tok) {
-        if (tok == "primary") {
-          ls >> c.primary_pe;
-        } else if (tok == "slots") {
-          ls >> c.slots;
-        } else if (tok == "terminal") {
+      r.values(c.number);
+      while (auto tok = r.next()) {
+        if (*tok == "primary") {
+          r.values(c.primary_pe);
+        } else if (*tok == "slots") {
+          r.values(c.slots);
+        } else if (*tok == "terminal") {
           int t = 0;
-          ls >> t;
+          r.values(t);
           c.has_terminal = t != 0;
-        } else if (tok == "place") {
+        } else if (*tok == "place") {
           std::string policy;
-          ls >> policy;
+          r.values(policy);
           auto p = place_policy_from_name(policy);
-          if (!p.has_value()) {
-            throw std::runtime_error(
-                "Configuration::load: unknown placement policy '" + policy + "'");
-          }
+          if (!p.has_value()) r.fail("unknown placement policy '" + policy + "'");
           c.place = *p;
-        } else if (tok == "secondaries") {
-          int pe = 0;
-          while (ls >> pe) c.secondary_pes.push_back(pe);
+        } else if (*tok == "secondaries") {
+          while (auto pe = r.next()) {
+            c.secondary_pes.push_back(r.number<int>(*pe, "secondary PE"));
+          }
+        } else {
+          r.fail("unknown cluster field '" + *tok + "'");
         }
       }
       cfg.clusters.push_back(std::move(c));
-    } else if (key == "collective-fanout") {
-      ls >> cfg.collective_fanout;
-    } else if (key == "topology") {
+    } else if (*key == "collective-fanout") {
+      r.values(cfg.collective_fanout);
+    } else if (*key == "topology") {
       std::string kind;
-      ls >> kind;
+      r.values(kind);
       auto t = flex::topology_from_name(kind);
-      if (!t.has_value()) {
-        throw std::runtime_error("Configuration::load: unknown topology '" +
-                                 kind + "'");
-      }
+      if (!t.has_value()) r.fail("unknown topology '" + kind + "'");
       cfg.topology.kind = *t;
-      ls >> cfg.topology.pes_per_cluster >> cfg.topology.backbone_access >>
-          cfg.topology.backbone_per_word >> cfg.topology.numa_hop_per_word;
-    } else if (key == "trace") {
-      // Older files carry fewer flags; extraction failure leaves `on` zero,
-      // so kinds the file predates simply load as off.
-      for (int k = 0; k < trace::kEventKindCount; ++k) {
-        int on = 0;
-        ls >> on;
-        cfg.trace.kind_on[static_cast<std::size_t>(k)] = on != 0;
+      r.values(cfg.topology.pes_per_cluster, cfg.topology.backbone_access,
+               cfg.topology.backbone_per_word, cfg.topology.numa_hop_per_word);
+    } else if (*key == "trace") {
+      // Older files carry fewer flags: kinds a file predates load as off.
+      for (bool& on : cfg.trace.kind_on) {
+        auto tok = r.next();
+        if (!tok) break;
+        on = r.number<int>(*tok, "trace flag") != 0;
       }
-    } else if (key == "fault-seed") {
-      ls >> cfg.faults.seed;
-    } else if (key == "fault-halt") {
+    } else if (*key == "fault-seed") {
+      r.values(cfg.faults.seed);
+    } else if (*key == "fault-halt") {
       flex::FaultPlan::PeHalt h;
-      ls >> h.pe >> h.at;
+      r.values(h.pe, h.at);
       cfg.faults.pe_halts.push_back(h);
-    } else if (key == "fault-bus") {
-      ls >> cfg.faults.bus_loss >> cfg.faults.bus_duplication >>
-          cfg.faults.bus_delay_probability >> cfg.faults.bus_delay_ticks;
-    } else if (key == "fault-heap") {
+    } else if (*key == "fault-bus") {
+      r.values(cfg.faults.bus_loss, cfg.faults.bus_duplication,
+               cfg.faults.bus_delay_probability, cfg.faults.bus_delay_ticks);
+    } else if (*key == "fault-heap") {
       flex::FaultPlan::HeapOutage w;
-      ls >> w.from >> w.until;
+      r.values(w.from, w.until);
       cfg.faults.heap_outages.push_back(w);
-    } else if (key == "fault-disk") {
-      ls >> cfg.faults.disk_error;
-    } else if (key == "fault-slow") {
-      flex::FaultPlan::PeSlowdown s;
-      ls >> s.pe >> s.from >> s.until >> s.factor;
-      cfg.faults.pe_slowdowns.push_back(s);
-    } else if (key == "fault-partition") {
+    } else if (*key == "fault-disk") {
+      r.values(cfg.faults.disk_error);
+    } else if (*key == "fault-slow") {
+      flex::FaultPlan::PeSlowdown sl;
+      r.values(sl.pe, sl.from, sl.until, sl.factor);
+      cfg.faults.pe_slowdowns.push_back(sl);
+    } else if (*key == "fault-partition") {
       flex::FaultPlan::BusPartition p;
-      ls >> p.cluster_a >> p.cluster_b >> p.from >> p.until;
+      r.values(p.cluster_a, p.cluster_b, p.from, p.until);
       cfg.faults.bus_partitions.push_back(p);
-    } else if (key == "fault-recover") {
-      flex::FaultPlan::PeRecover r;
-      ls >> r.pe >> r.at;
-      cfg.faults.pe_recoveries.push_back(r);
-    } else if (key == "supervision") {
-      int migrate = 1;
-      ls >> cfg.supervision.max_restarts >> cfg.supervision.backoff_base >>
-          cfg.supervision.backoff_factor >> cfg.supervision.backoff_cap >>
-          migrate;
+    } else if (*key == "fault-recover") {
+      flex::FaultPlan::PeRecover rc;
+      r.values(rc.pe, rc.at);
+      cfg.faults.pe_recoveries.push_back(rc);
+    } else if (*key == "supervision") {
+      int migrate = 0;
+      r.values(cfg.supervision.max_restarts, cfg.supervision.backoff_base,
+               cfg.supervision.backoff_factor, cfg.supervision.backoff_cap,
+               migrate);
       cfg.supervision.enabled = true;
       cfg.supervision.migrate = migrate != 0;
-    } else if (key == "reliable") {
-      ls >> cfg.reliable.max_retries >> cfg.reliable.backoff_base >>
-          cfg.reliable.backoff_factor >> cfg.reliable.backoff_cap >>
-          cfg.reliable.ack_flush_ticks >> cfg.reliable.send_deadline;
+    } else if (*key == "reliable") {
+      r.values(cfg.reliable.max_retries, cfg.reliable.backoff_base,
+               cfg.reliable.backoff_factor, cfg.reliable.backoff_cap,
+               cfg.reliable.ack_flush_ticks, cfg.reliable.send_deadline);
       cfg.reliable.enabled = true;
     } else {
-      throw std::runtime_error("Configuration::load: unknown key '" + key + "'");
+      r.fail("unknown key '" + *key + "'");
     }
+    r.done();
   }
   return cfg;
 }

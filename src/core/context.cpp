@@ -5,6 +5,7 @@
 
 #include "core/runtime.hpp"
 #include "fsim/file_store.hpp"
+#include "sim/backoff.hpp"
 
 namespace pisces::rt {
 
@@ -24,8 +25,9 @@ void TaskContext::initiate(Where where, std::string tasktype,
   const int target = rt_->resolve_where(where, cluster());
   proc_->compute(rt_->costs().initiate_overhead);
   ++rt_->stats_.initiates_requested;
-  rt_->post(self(), proc_, rt_->cluster(target).controller_id(), "_INITIATE",
-            {Value(std::move(tasktype)), Value::list(std::move(args))});
+  rt_->transport_.post(self(), proc_, rt_->cluster(target).controller_id(),
+                       "_INITIATE",
+                       {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
 
 // ---- SEND ----
@@ -46,12 +48,10 @@ bool TaskContext::send(Dest dest, std::string type, std::vector<Value> args) {
   proc_->compute(rt_->costs().msg_send_overhead);
   const TaskId to = resolve(dest);
   if (!to.valid()) {
-    ++rt_->stats_.dead_letters;
-    rt_->trace_event(trace::EventKind::dead_letter, to, self(), proc_->pe(), 0,
-                     type);
+    rt_->transport_.dead_letter(to, self(), proc_->pe(), 0, std::move(type));
     return false;
   }
-  return rt_->post(self(), proc_, to, std::move(type), std::move(args));
+  return rt_->transport_.post(self(), proc_, to, std::move(type), std::move(args));
 }
 
 int TaskContext::broadcast(std::string type, std::vector<Value> args,
@@ -61,7 +61,7 @@ int TaskContext::broadcast(std::string type, std::vector<Value> args,
   // reused by new tasks. Iterating the live slot table across those blocks
   // would skip some tasks and deliver to ones initiated *after* the
   // broadcast began. Targets that die before their copy is dispatched (or
-  // while it is in flight) become dead letters in post()/deliver().
+  // while it is in flight) become dead letters in the transport.
   std::vector<TaskId> targets;
   for (const auto& cl : rt_->clusters_) {
     if (cluster_number.has_value() && cl->cfg.number != *cluster_number) continue;
@@ -71,40 +71,12 @@ int TaskContext::broadcast(std::string type, std::vector<Value> args,
       targets.push_back(r.id);
     }
   }
-  const auto n = static_cast<int>(targets.size());
-  if (n == 0) return 0;
-
-  // Distribute over a k-ary tree: the sender posts only to positions
-  // 1..min(k, n); each of those re-forwards to its own children as engine
-  // events from the PE the copy reached, so the root pays O(k) sends and
-  // completion takes O(log_k n) relay hops instead of n serialized sends.
-  const int k = rt_->cfg_.collective_fanout < 2 ? 2 : rt_->cfg_.collective_fanout;
-  int depth = 0;
-  for (std::uint64_t covered = 0, width = static_cast<std::uint64_t>(k);
-       covered < static_cast<std::uint64_t>(n); width *= static_cast<std::uint64_t>(k)) {
-    covered += width;
-    ++depth;
-  }
-  proc_->compute(rt_->costs().msg_send_overhead);
-  rt_->trace_event(trace::EventKind::collective, self(), {}, proc_->pe(), 0,
-                   "bcast targets=" + std::to_string(n) + " k=" +
-                       std::to_string(k) + " depth=" + std::to_string(depth));
-
-  auto plan = std::make_shared<Runtime::BroadcastPlan>();
-  plan->origin = self();
-  plan->type = std::move(type);
-  plan->args = std::move(args);
-  plan->targets = std::move(targets);
-  plan->fanout = k;
-  const auto root_children = std::min<std::size_t>(
-      static_cast<std::size_t>(k), plan->targets.size());
-  for (std::size_t pos = 1; pos <= root_children; ++pos) {
-    rt_->dispatch_broadcast_copy(plan, pos, proc_);
-  }
-  // The whole snapshot is now committed to the tree; copies past the first
-  // level are in flight. Per-copy outcomes land in broadcast_copies /
-  // dead_letters rather than the return value.
-  return n;
+  if (targets.empty()) return 0;
+  // The whole snapshot is committed to the relay tree; copies past its
+  // first level are in flight on return. Per-copy outcomes land in
+  // broadcast_copies / dead_letters rather than the return value.
+  return rt_->transport_.broadcast(self(), *proc_, std::move(type),
+                                   std::move(args), std::move(targets));
 }
 
 void TaskContext::print(const std::string& text) {
@@ -118,8 +90,7 @@ void TaskContext::on_message(std::string type, Handler handler) {
 }
 
 void TaskContext::consume(Message msg, AcceptResult& res) {
-  proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-  rt_->heap_release(msg.heap_offset);
+  rt_->transport_.release_accepted(*proc_, msg);
   sender_ = msg.sender;
   ++rt_->stats_.messages_accepted;
   ++res.accepted[msg.type];
@@ -222,48 +193,12 @@ AcceptResult TaskContext::accept(AcceptSpec spec) {
 Message TaskContext::wait_any_message() {
   while (rec_->in_queue.empty()) proc_->block();
   Message m = rec_->in_queue.pop_front();
-  proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-  rt_->heap_release(m.heap_offset);
+  rt_->transport_.release_accepted(*proc_, m);
   sender_ = m.sender;
   ++rt_->stats_.messages_accepted;
   rt_->trace_event(trace::EventKind::msg_accept, self(), m.sender, proc_->pe(),
                    m.seq, m.type);
   return m;
-}
-
-Message TaskContext::wait_reply(std::uint64_t request_id) {
-  while (true) {
-    auto& q = rec_->replies;
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (!it->args.empty() && it->args[0].is_int() &&
-          it->args[0].as_int() == static_cast<std::int64_t>(request_id)) {
-        Message m = std::move(*it);
-        q.erase(it);
-        proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-        rt_->heap_release(m.heap_offset);
-        return m;
-      }
-    }
-    proc_->block();
-  }
-}
-
-std::optional<Message> TaskContext::wait_reply_for(std::uint64_t request_id,
-                                                   sim::Tick deadline) {
-  while (true) {
-    auto& q = rec_->replies;
-    for (auto it = q.begin(); it != q.end(); ++it) {
-      if (!it->args.empty() && it->args[0].is_int() &&
-          it->args[0].as_int() == static_cast<std::int64_t>(request_id)) {
-        Message m = std::move(*it);
-        q.erase(it);
-        proc_->compute(rt_->costs().msg_accept_overhead + rt_->costs().heap_free);
-        rt_->heap_release(m.heap_offset);
-        return m;
-      }
-    }
-    if (proc_->block_with_timeout(deadline)) return std::nullopt;
-  }
 }
 
 Message TaskContext::window_transact(
@@ -275,18 +210,31 @@ Message TaskContext::window_transact(
   // queue until task end, where finish_task releases their storage.
   const int attempts =
       rt_->faults_ != nullptr ? Runtime::kWindowRequestAttempts : 1;
-  sim::Tick patience = rt_->cfg_.accept_default_timeout;
-  for (int a = 0; a < attempts; ++a, patience *= 2) {
-    const std::uint64_t rid = ++rt_->next_request_id_;
+  // Patience doubles per attempt, from the ACCEPT default; the cap is never
+  // reached.
+  const sim::Backoff patience{rt_->cfg_.accept_default_timeout, 2.0};
+  auto& replies = rec_->replies;
+  for (int a = 1; a <= attempts; ++a) {
+    const auto rid = static_cast<std::int64_t>(++rt_->next_request_id_);
     proc_->compute(rt_->costs().msg_send_overhead);
-    if (!rt_->post(self(), proc_, service, op,
-                   make_args(static_cast<std::int64_t>(rid)))) {
+    if (!rt_->transport_.post(self(), proc_, service, op, make_args(rid))) {
       throw WindowError("window service unreachable for " + what);
     }
-    if (attempts == 1) return wait_reply(rid);
-    if (auto rep = wait_reply_for(rid, rt_->engine().now() + patience)) {
-      return std::move(*rep);
-    }
+    const sim::Tick deadline = attempts == 1
+                                   ? sim::kForever
+                                   : rt_->engine().now() + patience.delay(a);
+    // The reply carries the request id as its first argument.
+    do {
+      auto it = std::find_if(replies.begin(), replies.end(), [rid](const Message& m) {
+        return !m.args.empty() && m.args[0].is_int() && m.args[0].as_int() == rid;
+      });
+      if (it != replies.end()) {
+        Message m = std::move(*it);
+        replies.erase(it);
+        rt_->transport_.release_accepted(*proc_, m);
+        return m;
+      }
+    } while (!proc_->block_with_timeout(deadline));
     ++rt_->stats_.window_retries;
   }
   throw WindowError("no reply from window service for " + what + " after " +

@@ -125,10 +125,6 @@ class TaskContext {
 
   /// Process one matched message (handler or signal); updates result.
   void consume(Message msg, AcceptResult& res);
-  Message wait_reply(std::uint64_t request_id);
-  /// As wait_reply, but gives up at `deadline` (nullopt on timeout).
-  std::optional<Message> wait_reply_for(std::uint64_t request_id,
-                                        sim::Tick deadline);
   /// Send one window-service request and wait for its reply. Fault-free
   /// runs send once and wait forever (the service always answers); under
   /// fault injection the request is retried with a doubling patience

@@ -44,8 +44,7 @@ void Runtime::register_tasktype(std::string name, TaskBody body) {
 }
 
 void Runtime::declare_message(std::string type, int arity) {
-  if (arity < 0) throw std::invalid_argument("negative message arity");
-  message_arity_[std::move(type)] = arity;
+  transport_.declare_message(std::move(type), arity);
 }
 
 void Runtime::attach_file_store(int cluster, fsim::FileStore store, int disk_pe) {
@@ -195,7 +194,7 @@ void Runtime::arm_faults() {
       trace_event(trace::EventKind::fault, {}, {}, pe, 0, "pe-slow-end");
     });
   }
-  // Likewise partitions: post() consults the injector per transfer.
+  // Likewise partitions: the transport consults the injector per transfer.
   for (const auto& p : cfg_.faults.bus_partitions) {
     eng.schedule(std::max(p.from, now), [this, p] {
       trace_event(trace::EventKind::fault, {}, {}, 0, 0,
@@ -237,17 +236,16 @@ void Runtime::on_pe_halt(int pe) {
           trace_event(trace::EventKind::supervision, dead_ctl, req.parent, pe,
                       0, "migrate-initiate " + req.tasktype + " cluster=" +
                              std::to_string(target));
-          if (post(req.parent, nullptr, by_number_[target]->controller_id(),
-                   "_INITIATE",
-                   {Value(req.tasktype), Value::list(std::move(req.args)),
-                    Value(static_cast<std::int64_t>(req.tag))})) {
+          if (transport_.post(req.parent, nullptr,
+                              by_number_[target]->controller_id(), "_INITIATE",
+                              {Value(req.tasktype), Value::list(std::move(req.args)),
+                               Value(static_cast<std::int64_t>(req.tag))})) {
             ++stats_.initiates_migrated;
           }
           // A false post already dead-lettered itself (heap denial).
         } else {
-          ++stats_.dead_letters;
-          trace_event(trace::EventKind::dead_letter, dead_ctl, req.parent, pe,
-                      0, "_INITIATE " + req.tasktype);
+          transport_.dead_letter(dead_ctl, req.parent, pe, 0,
+                                 "_INITIATE " + req.tasktype);
         }
       }
       cl->pending.clear();
@@ -297,23 +295,20 @@ void Runtime::reclaim_controllers(Cluster& cl, int pe) {
         trace_event(trace::EventKind::supervision, rec.id, m.sender, pe, m.seq,
                     "migrate-message _INITIATE cluster=" +
                         std::to_string(target));
-        if (post(m.sender, nullptr, by_number_[target]->controller_id(),
-                 "_INITIATE", m.args)) {
+        if (transport_.post(m.sender, nullptr,
+                            by_number_[target]->controller_id(), "_INITIATE",
+                            m.args)) {
           ++stats_.messages_migrated;
         }
       } else {
-        ++stats_.dead_letters;
-        trace_event(trace::EventKind::dead_letter, rec.id, m.sender, pe, m.seq,
-                    m.type);
+        transport_.dead_letter(rec.id, m.sender, pe, m.seq, m.type);
       }
-      heap_release(m.heap_offset);
+      transport_.heap_release(m.heap_offset);
     }
     rec.in_queue.clear();
     for (const Message& m : rec.replies) {
-      ++stats_.dead_letters;
-      trace_event(trace::EventKind::dead_letter, rec.id, m.sender, pe, m.seq,
-                  m.type);
-      heap_release(m.heap_offset);
+      transport_.dead_letter(rec.id, m.sender, pe, m.seq, m.type);
+      transport_.heap_release(m.heap_offset);
     }
     rec.replies.clear();
     rec.proc = nullptr;  // the process dies with the kernel
@@ -535,8 +530,8 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   // Reap force members left behind by a kill mid-force.
   for (auto* member : rec.force_members) member->kill();
   rec.force_members.clear();
-  for (const Message& m : rec.in_queue) heap_release(m.heap_offset);
-  for (const Message& m : rec.replies) heap_release(m.heap_offset);
+  for (const Message& m : rec.in_queue) transport_.heap_release(m.heap_offset);
+  for (const Message& m : rec.replies) transport_.heap_release(m.heap_offset);
   rec.in_queue.clear();
   rec.replies.clear();
   rec.arrays.clear();
@@ -570,11 +565,9 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
                                pe_usable(prec->pe);
     if (parent_viable) {
       ++stats_.childterms_posted;
-      post(id, nullptr, parent, "_CHILDTERM", {Value(id), Value(reason)});
+      transport_.post(id, nullptr, parent, "_CHILDTERM", {Value(id), Value(reason)});
     } else if (parent.valid()) {
-      ++stats_.dead_letters;
-      trace_event(trace::EventKind::dead_letter, parent, id, pe, 0,
-                  "_CHILDTERM");
+      transport_.dead_letter(parent, id, pe, 0, "_CHILDTERM");
     }
     if (termination_hook_) {
       termination_hook_({id, parent, tasktype, std::move(saved_args), pe,
@@ -626,8 +619,8 @@ void Runtime::serve_window(Cluster& cl, TaskContext& ctl, const Message& m) {
   const auto rid = m.args.at(0).as_int();
   const Window w = m.args.at(1).as_window();
   auto fail = [&](const std::string& reason) {
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINERR",
-         {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
+    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINERR",
+                    {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
   };
   TaskRecord* owner = live_record(w.owner);
   if (owner == nullptr) {
@@ -672,8 +665,9 @@ void Runtime::serve_window(Cluster& cl, TaskContext& ctl, const Message& m) {
     }
     Matrix part = fsim::copy_rect(*arr, w.rect);
     ++stats_.window_reads;
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINDATA",
-         {Value(rid), Value(std::move(part.data()))}, /*to_reply_queue=*/true);
+    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINDATA",
+                    {Value(rid), Value(std::move(part.data()))},
+                    /*to_reply_queue=*/true);
   } else {
     const auto& data = m.args.at(2).as_real_array();
     if (data.size() != w.elements()) {
@@ -690,8 +684,8 @@ void Runtime::serve_window(Cluster& cl, TaskContext& ctl, const Message& m) {
     part.data() = data;
     fsim::paste_rect(*arr, w.rect, part);
     ++stats_.window_writes;
-    post(cl.controller_id(), &ctl.proc(), requester, "_WINACK", {Value(rid)},
-         /*to_reply_queue=*/true);
+    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINACK",
+                    {Value(rid)}, /*to_reply_queue=*/true);
   }
 }
 
@@ -700,8 +694,8 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
   const auto rid = m.args.at(0).as_int();
   const TaskId fc_id = cl.slot(kFileControllerSlot).id;
   auto fail = [&](const std::string& reason) {
-    post(fc_id, &ctl.proc(), requester, "_WINERR", {Value(rid), Value(reason)},
-         /*to_reply_queue=*/true);
+    transport_.post(fc_id, &ctl.proc(), requester, "_WINERR",
+                    {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
   };
   if (!cl.files.has_value()) {
     fail("cluster has no file system");
@@ -726,8 +720,8 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
     w.rect = Rect{0, 0, arr.rows(), arr.cols()};
     w.array_rows = arr.rows();
     w.array_cols = arr.cols();
-    post(fc_id, &ctl.proc(), requester, "_FWINDATA", {Value(rid), Value(w)},
-         /*to_reply_queue=*/true);
+    transport_.post(fc_id, &ctl.proc(), requester, "_FWINDATA",
+                    {Value(rid), Value(w)}, /*to_reply_queue=*/true);
     return;
   }
 
@@ -785,9 +779,9 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
     // The typed error arrives when the last failed pass completes, exactly
     // like data would.
     sys_->engine().schedule(done, [this, rid, requester, fc_id, name] {
-      post(fc_id, nullptr, requester, "_WINERR",
-           {Value(rid), Value("disk I/O error on '" + name + "'")},
-           /*to_reply_queue=*/true);
+      transport_.post(fc_id, nullptr, requester, "_WINERR",
+                      {Value(rid), Value("disk I/O error on '" + name + "'")},
+                      /*to_reply_queue=*/true);
     });
     return;
   }
@@ -800,22 +794,22 @@ void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m)
       part.data() = data;
       clp->files->write_rect(name, rect, part);
       ++stats_.window_writes;
-      post(fc_id, nullptr, requester, "_WINACK", {Value(rid)},
-           /*to_reply_queue=*/true);
+      transport_.post(fc_id, nullptr, requester, "_WINACK", {Value(rid)},
+                      /*to_reply_queue=*/true);
     });
   } else {
     sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
                                    fc_id] {
       Matrix part = clp->files->read_rect(name, rect);
       ++stats_.window_reads;
-      post(fc_id, nullptr, requester, "_WINDATA",
-           {Value(rid), Value(std::move(part.data()))},
-           /*to_reply_queue=*/true);
+      transport_.post(fc_id, nullptr, requester, "_WINDATA",
+                      {Value(rid), Value(std::move(part.data()))},
+                      /*to_reply_queue=*/true);
     });
   }
 }
 
-// ---- messaging core ----
+// ---- interconnect billing ----
 
 void Runtime::charge_shared(mmos::Proc& proc, std::size_t bytes) {
   const sim::Tick now = sys_->engine().now();
@@ -833,510 +827,10 @@ void Runtime::charge_transfer(mmos::Proc& proc, std::size_t bytes, int from_pe,
 
 void Runtime::charge_signal(mmos::Proc& proc, int peer_pe) {
   proc.compute(costs().collective_signal);
-  auto& machine = sys_->machine();
-  if (machine.interconnect().crosses_backbone(proc.pe(), peer_pe)) {
+  if (sys_->machine().interconnect().crosses_backbone(proc.pe(), peer_pe)) {
     // The locally-polled flag lives in the peer's cluster: publishing it
     // moves one 8-byte word across the backbone route.
-    const sim::Tick now = sys_->engine().now();
-    const sim::Tick done = machine.message_transfer(now, 8, proc.pe(), peer_pe);
-    if (done > now) proc.compute(done - now);
-  }
-}
-
-std::size_t Runtime::heap_allocate_blocking(std::size_t bytes, mmos::Proc* proc,
-                                            sim::Tick deadline) {
-  bool retried = false;
-  int outage_denials = 0;
-  sim::Tick backoff = kHeapOutageBackoffTicks;
-  // Drop this proc's own entry from the waiter FIFO (deadline give-up path:
-  // a later heap_release must not wake a sender that already moved on).
-  auto leave_queue = [this, proc] {
-    for (auto it = heap_waiters_.begin(); it != heap_waiters_.end(); ++it) {
-      if (it->proc == proc) {
-        heap_waiters_.erase(it);
-        break;
-      }
-    }
-  };
-  while (true) {
-    if (deadline > 0 && sys_->engine().now() >= deadline) return kDeadline;
-    if (msg_heap_->outage()) {
-      // Injected allocation-failure window: bounded retry with exponential
-      // backoff, then a typed failure (the caller drops the message and
-      // reports a failed send rather than blocking forever).
-      if (faults_ != nullptr) ++faults_->stats().heap_denials;
-      if (proc == nullptr || ++outage_denials >= kHeapOutageAttempts) {
-        return kNoSpace;
-      }
-      sim::Tick until = sys_->engine().now() + backoff;
-      if (deadline > 0) until = std::min(until, deadline);
-      (void)proc->block_with_timeout(until);
-      backoff *= 2;
-      continue;
-    }
-    auto off = msg_heap_->allocate(bytes);
-    if (off.has_value()) return *off;
-    if (proc == nullptr) return kNoSpace;
-    ++stats_.heap_full_waits;
-    const std::size_t need =
-        flex::SharedHeap::round_up(std::max<std::size_t>(bytes, 1));
-    // First wait joins the back of the FIFO; a sender whose retry lost to
-    // fragmentation goes back to the front so it keeps its turn.
-    if (retried) {
-      heap_waiters_.push_front(HeapWaiter{proc, need});
-    } else {
-      heap_waiters_.push_back(HeapWaiter{proc, need});
-    }
-    retried = true;
-    if (deadline > 0) {
-      if (proc->block_with_timeout(deadline)) {
-        leave_queue();
-        return kDeadline;
-      }
-    } else {
-      proc->block();
-    }
-  }
-}
-
-void Runtime::heap_release(std::size_t offset) {
-  msg_heap_->release(offset);
-  if (heap_waiters_.empty()) return;
-  // Wake blocked senders first-fit in FIFO order: the oldest waiter whose
-  // block fits is woken, then the next, while recovered space (bounded by
-  // the total free bytes) plausibly remains. Everyone left keeps waiting for
-  // the next release instead of stampeding awake only to re-block.
-  const std::size_t largest = msg_heap_->largest_free_block();
-  std::size_t budget = msg_heap_->capacity() - msg_heap_->in_use();
-  for (auto it = heap_waiters_.begin(); it != heap_waiters_.end();) {
-    if (it->proc == nullptr || it->proc->finished()) {
-      it = heap_waiters_.erase(it);
-      continue;
-    }
-    if (it->need <= largest && it->need <= budget) {
-      budget -= it->need;
-      it->proc->wake();
-      it = heap_waiters_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool Runtime::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
-                   std::string type, std::vector<Value> args,
-                   bool to_reply_queue, int via_pe) {
-  if (auto it = message_arity_.find(type); it != message_arity_.end() &&
-                                           static_cast<int>(args.size()) != it->second) {
-    throw std::logic_error("message '" + type + "' declared with " +
-                           std::to_string(it->second) + " argument(s), sent with " +
-                           std::to_string(args.size()));
-  }
-  if (live_record(to) == nullptr) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, from, 0, 0, type);
-    return false;
-  }
-  Message msg;
-  msg.type = std::move(type);
-  msg.sender = from;
-  msg.args = std::move(args);
-  const std::size_t bytes = msg.encoded_size();
-  // An optional send deadline bounds the worst-case wait on a full heap:
-  // bounded blocking is part of the reliable contract (_SENDFAIL instead of
-  // an indefinite stall).
-  const bool sequenced = cfg_.reliable.enabled && !reliable_exempt(msg.type);
-  const sim::Tick send_deadline =
-      sequenced && cfg_.reliable.send_deadline > 0
-          ? sys_->engine().now() + cfg_.reliable.send_deadline
-          : 0;
-  const std::size_t off = heap_allocate_blocking(bytes, sender_proc, send_deadline);
-  if (off == kDeadline) {
-    ++stats_.send_failures;
-    const SendFailInfo info{from, to, msg.type, 0, "deadline"};
-    (void)post(to, nullptr, from, "_SENDFAIL",
-               {Value(msg.type), Value(to), Value(std::int64_t{0}),
-                Value(std::string("deadline"))});
-    if (send_fail_hook_) send_fail_hook_(info);
-    return false;
-  }
-  if (off == kNoSpace) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, from, 0, 0,
-                msg.type + " (no message storage)");
-    return false;
-  }
-  int sender_pe = 0;
-  if (sender_proc != nullptr) {
-    sender_pe = sender_proc->pe();
-  } else if (TaskRecord* sender = live_record(from)) {
-    sender_pe = sender->pe;  // proc-less sends (environment) still have a home PE
-  }
-  // The transfer is billed from the PE that physically re-issues it — the
-  // relay's PE for broadcast tree hops — while the trace keeps the logical
-  // sender. The receiver may have died while the sender blocked on the
-  // heap, so re-resolve; the copy still travels to where the task lived.
-  const int bill_from = via_pe >= 0 ? via_pe : sender_pe;
-  int dest_pe = bill_from;
-  if (TaskRecord* dest = live_record(to)) dest_pe = dest->pe;
-  if (sender_proc != nullptr) {
-    sender_proc->compute(costs().heap_alloc);
-    charge_transfer(*sender_proc, bytes, bill_from, dest_pe);
-  } else {
-    sys_->machine().message_transfer(sys_->engine().now(), bytes, bill_from,
-                                     dest_pe);
-  }
-  msg.heap_offset = off;
-  msg.heap_bytes = bytes;
-  msg.sent_at = msg.arrived_at = sys_->engine().now();
-  msg.seq = ++next_msg_seq_;
-  ++stats_.messages_sent;
-  stats_.message_bytes_sent += bytes;
-  trace_event(trace::EventKind::msg_send, from, to, sender_pe, msg.seq, msg.type);
-
-  // Reliable transport: stamp the copy with its channel sequence and hold
-  // it in the retransmit buffer before it faces the bus, so a first copy
-  // lost to the fault gauntlet below is already covered by a timer.
-  if (sequenced) register_reliable(msg, from, to, to_reply_queue, bill_from, dest_pe);
-
-  if (auto consumed = apply_bus_faults(msg, from, to, to_reply_queue,
-                                       sender_pe, bill_from, dest_pe);
-      consumed.has_value()) {
-    return *consumed;
-  }
-  return deliver(std::move(msg), to, to_reply_queue);
-}
-
-std::optional<bool> Runtime::apply_bus_faults(Message& msg, TaskId from,
-                                              TaskId to, bool to_reply_queue,
-                                              int sender_pe, int bill_from,
-                                              int dest_pe) {
-  // Fault injection. Supervision control traffic (_CHILDTERM, _SUPFAIL) and
-  // the transport's own _SENDFAIL ride a reliable out-of-band channel: the
-  // recovery guarantee is that a parent always learns its child died, and
-  // the supervisor's escalation always reaches a live ancestor — no bus
-  // fault or partition touches them.
-  if (faults_ == nullptr || reliable_exempt(msg.type)) return std::nullopt;
-  const std::size_t bytes = msg.heap_bytes;
-  const sim::Tick now = sys_->engine().now();
-  auto& ic = sys_->machine().interconnect();
-  // A partition window refuses the transfer outright (checked before the
-  // per-transfer fault draw: a partitioned bus never arbitrates the
-  // message at all). The transfer was already charged — the copy is
-  // dropped at the cluster boundary. Under the shared topology the window
-  // severs traffic between the two *configured* clusters; under hier/numa
-  // it severs the backbone link between their hardware clusters, so only
-  // routes that actually cross that link are affected.
-  const bool partition_hit =
-      ic.kind() == flex::Topology::shared
-          ? (from.cluster != to.cluster &&
-             faults_->partitioned(from.cluster, to.cluster, now))
-          : (ic.crosses_backbone(bill_from, dest_pe) &&
-             faults_->backbone_partitioned(ic.cluster_of(bill_from),
-                                           ic.cluster_of(dest_pe), now));
-  if (partition_hit) {
-    ++faults_->stats().bus_partition_drops;
-    if (msg.chan_seq != 0) ++stats_.reliable_copies_lost;
-    trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                "bus-partition " + msg.type);
-    ic.note_faulted(bill_from, dest_pe);
-    heap_release(msg.heap_offset);
-    return true;
-  }
-  switch (faults_->next_bus_fault()) {
-    case flex::BusFault::lose:
-      // The transfer happened (and was charged) but the message vanishes.
-      // Asynchronous sends don't learn about the loss; the send succeeds.
-      // (Under the reliable layer the retransmit timer covers the copy.)
-      if (msg.chan_seq != 0) ++stats_.reliable_copies_lost;
-      trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                  "bus-lose " + msg.type);
-      ic.note_faulted(bill_from, dest_pe);
-      heap_release(msg.heap_offset);
-      return true;
-    case flex::BusFault::duplicate:
-      if (auto doff = msg_heap_->allocate(bytes); doff.has_value()) {
-        trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                    "bus-dup " + msg.type);
-        ic.note_faulted(bill_from, dest_pe);
-        sys_->machine().message_transfer(now, bytes, bill_from, dest_pe);
-        Message dup = msg;  // same chan_seq: the receiver suppresses one copy
-        dup.heap_offset = *doff;
-        dup.seq = ++next_msg_seq_;
-        if (dup.chan_seq != 0) ++stats_.reliable_copies_sent;
-        const bool ok = deliver(std::move(msg), to, to_reply_queue);
-        (void)deliver(std::move(dup), to, to_reply_queue);
-        return ok;
-      }
-      break;  // no storage for the ghost copy: deliver just the original
-    case flex::BusFault::delay: {
-      const sim::Tick delay = cfg_.faults.bus_delay_ticks;
-      trace_event(trace::EventKind::fault, from, to, sender_pe, msg.seq,
-                  "bus-delay " + msg.type);
-      ic.stall(now, bill_from, dest_pe, delay);
-      sys_->engine().schedule(
-          now + delay, [this, m = std::move(msg), to, to_reply_queue]() mutable {
-            (void)deliver(std::move(m), to, to_reply_queue);
-          });
-      return true;
-    }
-    case flex::BusFault::none:
-      break;
-  }
-  return std::nullopt;
-}
-
-// ---- reliable transport ----
-
-bool Runtime::reliable_exempt(const std::string& type) {
-  return type == "_CHILDTERM" || type == "_SUPFAIL" || type == "_SENDFAIL";
-}
-
-bool Runtime::channel_settled(const ReliableChannel& ch, std::uint64_t seq) {
-  return seq <= ch.settled_to || ch.settled_above.count(seq) != 0;
-}
-
-void Runtime::channel_settle(ReliableChannel& ch, std::uint64_t seq) {
-  if (seq == ch.settled_to + 1) {
-    ch.settled_to = seq;
-    // Absorb any out-of-order settles that now extend the watermark.
-    auto it = ch.settled_above.begin();
-    while (it != ch.settled_above.end() && *it == ch.settled_to + 1) {
-      ch.settled_to = *it;
-      it = ch.settled_above.erase(it);
-    }
-  } else {
-    ch.settled_above.insert(seq);
-  }
-}
-
-sim::Tick Runtime::reliable_backoff(int attempt) const {
-  double d = static_cast<double>(cfg_.reliable.backoff_base);
-  const double cap = static_cast<double>(cfg_.reliable.backoff_cap);
-  for (int i = 1; i < attempt && d < cap; ++i) d *= cfg_.reliable.backoff_factor;
-  return static_cast<sim::Tick>(d > cap ? cap : d);
-}
-
-void Runtime::register_reliable(Message& msg, TaskId from, TaskId to,
-                                bool to_reply_queue, int bill_from,
-                                int dest_pe) {
-  const ChannelKey key{bill_from, dest_pe};
-  auto& ch = reliable_channels_[key];
-  msg.chan_seq = ++ch.next_seq;
-  msg.chan_from = bill_from;
-  msg.chan_to = dest_pe;
-  ++stats_.reliable_sends;
-  ++stats_.reliable_copies_sent;
-  ReliableChannel::Pending p;
-  p.from = from;
-  p.to = to;
-  p.type = msg.type;
-  p.args = msg.args;  // retransmissions rebuild the copy from this prototype
-  p.to_reply_queue = to_reply_queue;
-  if (cfg_.reliable.send_deadline > 0) {
-    p.deadline = sys_->engine().now() + cfg_.reliable.send_deadline;
-  }
-  ch.unacked.emplace(msg.chan_seq, std::move(p));
-  schedule_retransmit(key, msg.chan_seq, reliable_backoff(1));
-}
-
-void Runtime::schedule_retransmit(ChannelKey key, std::uint64_t seq,
-                                  sim::Tick delay) {
-  sys_->engine().schedule(sys_->engine().now() + delay,
-                          [this, key, seq] { retransmit_fire(key, seq); });
-}
-
-void Runtime::retransmit_fire(ChannelKey key, std::uint64_t seq) {
-  auto chit = reliable_channels_.find(key);
-  if (chit == reliable_channels_.end()) return;
-  auto& ch = chit->second;
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;  // acked meanwhile: timer no-ops
-  auto& p = it->second;
-  const sim::Tick now = sys_->engine().now();
-  if (p.deadline > 0 && now >= p.deadline) {
-    reliable_send_fail(key, seq, "deadline");
-    return;
-  }
-  if (p.attempts >= cfg_.reliable.max_retries) {
-    reliable_send_fail(key, seq, "retries");
-    return;
-  }
-  ++p.attempts;
-  Message m;
-  m.type = p.type;
-  m.sender = p.from;
-  m.args = p.args;
-  const std::size_t bytes = m.encoded_size();
-  // Timers run proc-less, so allocation cannot block; a full heap costs the
-  // attempt (the budget still bounds total work under a persistent outage)
-  // and the next timer tries again.
-  if (auto off = msg_heap_->allocate(bytes); off.has_value()) {
-    m.heap_offset = *off;
-    m.heap_bytes = bytes;
-    m.sent_at = m.arrived_at = now;
-    m.seq = ++next_msg_seq_;
-    m.chan_seq = seq;
-    m.chan_from = key.first;
-    m.chan_to = key.second;
-    ++stats_.retransmits;
-    ++stats_.reliable_copies_sent;
-    stats_.message_bytes_sent += bytes;
-    trace_event(trace::EventKind::retransmit, p.from, p.to, key.first, m.seq,
-                m.type + " #" + std::to_string(p.attempts));
-    sys_->machine().message_transfer(now, bytes, key.first, key.second);
-    const TaskId to = p.to;
-    const bool to_reply = p.to_reply_queue;
-    // apply_bus_faults / deliver may mutate the channel map (acks, settles),
-    // so `p`/`it` must not be touched past this point.
-    if (auto consumed = apply_bus_faults(m, m.sender, to, to_reply, key.first,
-                                         key.first, key.second);
-        !consumed.has_value()) {
-      (void)deliver(std::move(m), to, to_reply);
-    }
-    auto reit = reliable_channels_.find(key);
-    if (reit == reliable_channels_.end()) return;
-    const auto pit = reit->second.unacked.find(seq);
-    if (pit == reit->second.unacked.end()) return;  // settled by this very copy
-    schedule_retransmit(key, seq, reliable_backoff(pit->second.attempts + 1));
-    return;
-  }
-  schedule_retransmit(key, seq, reliable_backoff(p.attempts + 1));
-}
-
-void Runtime::reliable_send_fail(ChannelKey key, std::uint64_t seq,
-                                 const char* reason) {
-  auto& ch = reliable_channels_[key];
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;
-  const ReliableChannel::Pending p = std::move(it->second);
-  ch.unacked.erase(it);
-  ++stats_.send_failures;
-  // The typed failure rides the same out-of-band path as _CHILDTERM: the
-  // sender must learn the transport gave up even under the faults that
-  // caused the give-up.
-  (void)post(p.to, nullptr, p.from, "_SENDFAIL",
-             {Value(p.type), Value(p.to),
-              Value(static_cast<std::int64_t>(p.attempts)),
-              Value(std::string(reason))});
-  if (send_fail_hook_) {
-    send_fail_hook_({p.from, p.to, p.type, p.attempts, reason});
-  }
-}
-
-void Runtime::schedule_ack_flush(ChannelKey key) {
-  auto& ch = reliable_channels_[key];
-  if (ch.ack_pending) return;
-  ch.ack_pending = true;
-  sys_->engine().schedule(sys_->engine().now() + cfg_.reliable.ack_flush_ticks,
-                          [this, key] { flush_acks(key); });
-}
-
-void Runtime::flush_acks(ChannelKey key) {
-  auto& ch = reliable_channels_[key];
-  ch.ack_pending = false;
-  // One cumulative ack summarises every settled sequence, billed as an
-  // 8-byte control word on the reverse path. Acks are fault-exempt (like
-  // _CHILDTERM): losing one would only cause benign retransmissions, and
-  // the exemption keeps the per-transfer fault-draw count a pure function
-  // of application traffic on both engine backends.
-  sys_->machine().message_transfer(sys_->engine().now(), 8, key.second,
-                                   key.first);
-  ++stats_.acks_sent;
-  trace_event(trace::EventKind::ack, {}, {}, key.second, ch.settled_to,
-              "chan " + std::to_string(key.first) + "->" +
-                  std::to_string(key.second));
-  for (auto it = ch.unacked.begin(); it != ch.unacked.end();) {
-    if (channel_settled(ch, it->first)) {
-      it = ch.unacked.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-bool Runtime::deliver(Message msg, TaskId to, bool to_reply_queue) {
-  // Sequenced copies pass the channel's receive filter first: any arrival
-  // triggers an (eventual) cumulative ack, and a sequence that already
-  // settled — delivered or dead-lettered once — is suppressed as a
-  // duplicate, whether it came from a bus duplication or a retransmission
-  // racing the ack.
-  if (msg.chan_seq != 0) {
-    const ChannelKey key{msg.chan_from, msg.chan_to};
-    auto& ch = reliable_channels_[key];
-    ++stats_.reliable_copies_arrived;
-    schedule_ack_flush(key);
-    if (channel_settled(ch, msg.chan_seq)) {
-      ++stats_.dup_drops;
-      trace_event(trace::EventKind::dup_drop, to, msg.sender, msg.chan_to,
-                  msg.seq, msg.type);
-      heap_release(msg.heap_offset);
-      return true;
-    }
-    channel_settle(ch, msg.chan_seq);
-  }
-  // Re-check liveness at delivery time: the receiver may have terminated
-  // while the sender waited for heap space or the bus, or while an injected
-  // delay held the message in flight.
-  TaskRecord* rec = live_record(to);
-  if (rec == nullptr) {
-    ++stats_.dead_letters;
-    if (msg.chan_seq != 0) ++stats_.reliable_dead_letters;
-    trace_event(trace::EventKind::dead_letter, to, msg.sender, 0, msg.seq,
-                msg.type);
-    heap_release(msg.heap_offset);
-    return false;
-  }
-  if (msg.chan_seq != 0) ++stats_.reliable_delivered;
-  msg.arrived_at = sys_->engine().now();
-  if (to_reply_queue) {
-    rec->replies.push_back(std::move(msg));
-  } else {
-    rec->in_queue.push_back(std::move(msg));
-  }
-  if (rec->proc != nullptr) rec->proc->wake();
-  return true;
-}
-
-void Runtime::dispatch_broadcast_copy(const std::shared_ptr<BroadcastPlan>& plan,
-                                      std::size_t pos, mmos::Proc* sender_proc,
-                                      int via_pe) {
-  if (post(plan->origin, sender_proc, plan->targets[pos - 1], plan->type,
-           plan->args, /*to_reply_queue=*/false, via_pe)) {
-    ++stats_.broadcast_copies;
-  }
-  // Forward regardless of this copy's own fate (dead letter, lost on the
-  // bus): the subtree below `pos` was committed at snapshot time and each
-  // target must get exactly one dispatch.
-  schedule_broadcast_children(plan, pos);
-}
-
-void Runtime::schedule_broadcast_children(
-    const std::shared_ptr<BroadcastPlan>& plan, std::size_t pos) {
-  const std::size_t n = plan->targets.size();
-  const std::size_t k = static_cast<std::size_t>(plan->fanout);
-  const sim::Tick now = sys_->engine().now();
-  // Relayed copies are re-issued from the PE the copy for `pos` landed on,
-  // so the hop is billed from the relay's cluster (the origin stays the
-  // traced sender). Position 0 is the root: its children bill from the
-  // origin normally.
-  int via_pe = -1;
-  if (pos > 0) {
-    if (TaskRecord* relay = live_record(plan->targets[pos - 1])) {
-      via_pe = relay->pe;
-    }
-  }
-  for (std::size_t j = 0; j < k; ++j) {
-    const std::size_t child = k * pos + 1 + j;
-    if (child > n) break;
-    // The relay PE re-issues its children's copies one after another, each
-    // costing one forward overhead; sibling relays elsewhere run in parallel
-    // and only their bus transfers serialize (inside post -> shared_transfer).
-    const sim::Tick at =
-        now + static_cast<sim::Tick>(j + 1) * costs().msg_forward_overhead;
-    sys_->engine().schedule(at, [this, plan, child, via_pe] {
-      dispatch_broadcast_copy(plan, child, nullptr, via_pe);
-    });
+    charge_transfer(proc, 8, proc.pe(), peer_pe);
   }
 }
 
@@ -1409,8 +903,9 @@ void Runtime::user_initiate(int cluster, std::string tasktype,
     throw std::out_of_range("no cluster " + std::to_string(cluster));
   }
   ++stats_.initiates_requested;
-  post(user_controller_id(), nullptr, it->second->controller_id(), "_INITIATE",
-       {Value(std::move(tasktype)), Value::list(std::move(args))});
+  transport_.post(user_controller_id(), nullptr, it->second->controller_id(),
+                  "_INITIATE",
+                  {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
 
 bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
@@ -1418,25 +913,25 @@ bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
   if (!booted_) throw std::logic_error("supervised_initiate before boot");
   const int target = pick_survivor(clusters_.front()->cfg.number);
   if (target < 0) {
-    ++stats_.dead_letters;
-    trace_event(trace::EventKind::dead_letter, {}, parent, 0, 0,
-                "_INITIATE " + tasktype + " (no live cluster)");
+    transport_.dead_letter({}, parent, 0, 0,
+                           "_INITIATE " + tasktype + " (no live cluster)");
     return false;
   }
   ++stats_.initiates_requested;
-  return post(parent, nullptr, by_number_[target]->controller_id(),
-              "_INITIATE",
-              {Value(std::move(tasktype)), Value::list(std::move(args)),
-               Value(static_cast<std::int64_t>(tag))});
+  return transport_.post(parent, nullptr, by_number_[target]->controller_id(),
+                         "_INITIATE",
+                         {Value(std::move(tasktype)), Value::list(std::move(args)),
+                          Value(static_cast<std::int64_t>(tag))});
 }
 
 bool Runtime::post_system(TaskId from, TaskId to, std::string type,
                           std::vector<Value> args) {
-  return post(from, nullptr, to, std::move(type), std::move(args));
+  return transport_.post(from, nullptr, to, std::move(type), std::move(args));
 }
 
 bool Runtime::user_send(TaskId to, std::string type, std::vector<Value> args) {
-  return post(user_controller_id(), nullptr, to, std::move(type), std::move(args));
+  return transport_.post(user_controller_id(), nullptr, to, std::move(type),
+                         std::move(args));
 }
 
 KillResult Runtime::try_kill_task(TaskId id) {
@@ -1453,7 +948,7 @@ int Runtime::delete_messages(TaskId id, const std::string& type) {
   int deleted = 0;
   for (auto it = rec->in_queue.begin(); it != rec->in_queue.end();) {
     if (type.empty() || it->type == type) {
-      heap_release(it->heap_offset);
+      transport_.heap_release(it->heap_offset);
       it = rec->in_queue.erase(it);
       ++deleted;
     } else {
@@ -1515,11 +1010,7 @@ const Cluster& Runtime::cluster(int number) const {
 }
 
 Cluster& Runtime::cluster(int number) {
-  auto it = by_number_.find(number);
-  if (it == by_number_.end()) {
-    throw std::out_of_range("no cluster " + std::to_string(number));
-  }
-  return *it->second;
+  return const_cast<Cluster&>(std::as_const(*this).cluster(number));
 }
 
 const TaskRecord* Runtime::find_record(TaskId id) const {
@@ -1528,15 +1019,8 @@ const TaskRecord* Runtime::find_record(TaskId id) const {
 
 void Runtime::trace_event(trace::EventKind kind, TaskId task, TaskId other,
                           int pe, std::uint64_t seq, std::string info) {
-  trace::Record r;
-  r.kind = kind;
-  r.at = sys_->engine().now();
-  r.pe = pe;
-  r.task = task;
-  r.other = other;
-  r.seq = seq;
-  r.info = std::move(info);
-  tracer_.record(std::move(r));
+  tracer_.record(trace::Record{kind, sys_->engine().now(), pe, task, other, seq,
+                               std::move(info)});
 }
 
 }  // namespace pisces::rt

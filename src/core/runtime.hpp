@@ -14,6 +14,7 @@
 #include "config/configuration.hpp"
 #include "core/context.hpp"
 #include "core/task.hpp"
+#include "core/transport.hpp"
 #include "flex/fault.hpp"
 #include "flex/shared_heap.hpp"
 #include "fsim/file_store.hpp"
@@ -122,7 +123,8 @@ enum class KillResult {
 
 /// The PISCES 2 run-time system: boots the virtual machine described by a
 /// Configuration onto the MMOS/FLEX substrate, runs the controller tasks,
-/// and implements task initiation, message passing, forces, and windows.
+/// and implements task initiation, forces, windows and fault recovery.
+/// Message passing goes through its Transport.
 class Runtime {
  public:
   Runtime(mmos::System& sys, config::Configuration cfg);
@@ -267,6 +269,7 @@ class Runtime {
   friend class ForceContext;
   friend class SharedBlock;
   friend class LockVar;
+  friend class Transport;
 
   // ---- internals used by TaskContext / force machinery ----
   [[nodiscard]] const flex::CostModel& costs() const {
@@ -285,22 +288,6 @@ class Runtime {
   /// when the peer lives in another hardware cluster.
   void charge_signal(mmos::Proc& proc, int peer_pe);
 
-  /// Deliver a message (sender side already charged). Returns false and
-  /// counts a dead letter if `to` is stale. `sender_proc` may be null for
-  /// environment-originated messages. `via_pe` overrides the PE the
-  /// transfer is billed from (broadcast relay hops re-issue copies from the
-  /// relay's PE, not the origin's); the traced sender PE is unaffected.
-  bool post(TaskId from, mmos::Proc* sender_proc, TaskId to, std::string type,
-            std::vector<Value> args, bool to_reply_queue = false,
-            int via_pe = -1);
-  /// Allocate message bytes in the shared heap, blocking `proc` (if given)
-  /// until space is available. A non-zero `deadline` bounds the wait: past
-  /// it the waiter gives up and kDeadline comes back (reliable sends with a
-  /// configured send deadline must not stall forever behind a full heap).
-  std::size_t heap_allocate_blocking(std::size_t bytes, mmos::Proc* proc,
-                                     sim::Tick deadline = 0);
-  void heap_release(std::size_t offset);
-
   int resolve_where(const Where& where, int my_cluster) const;
   [[nodiscard]] TaskRecord* live_record(TaskId id);
   [[nodiscard]] int find_free_slot(Cluster& cl) const;
@@ -309,99 +296,6 @@ class Runtime {
   /// Re-resolve a window's backing array after a blocking charge: the owner
   /// may have been killed meanwhile, freeing the storage. Null if gone.
   [[nodiscard]] Matrix* live_window_array(const Window& w);
-
-  /// Finish delivery of an in-flight message: enqueue it (re-checking that
-  /// the destination is still live) and wake the receiver. False (with a
-  /// dead letter counted and the heap block released) if the receiver died.
-  bool deliver(Message msg, TaskId to, bool to_reply_queue);
-
-  /// An in-flight TO ALL distribution tree. The target snapshot is fixed
-  /// when the broadcast is issued; positions 1..targets.size() form a k-ary
-  /// tree rooted at the sender (position 0), and each interior position
-  /// re-forwards to its children from the PE its own copy just reached, so
-  /// bus occupancy of sibling subtrees overlaps instead of serializing at
-  /// the root.
-  struct BroadcastPlan {
-    TaskId origin{};
-    std::string type;
-    std::vector<Value> args;
-    std::vector<TaskId> targets;  ///< position p >= 1 delivers to targets[p-1]
-    int fanout = 4;
-  };
-  /// Post the copy for tree position `pos` and schedule the position's
-  /// children. `sender_proc` is non-null only for the root's direct
-  /// children, which are dispatched from the sender's own PE (and may block
-  /// on a full heap there); relayed copies run as engine events.
-  void dispatch_broadcast_copy(const std::shared_ptr<BroadcastPlan>& plan,
-                               std::size_t pos, mmos::Proc* sender_proc,
-                               int via_pe = -1);
-  void schedule_broadcast_children(const std::shared_ptr<BroadcastPlan>& plan,
-                                   std::size_t pos);
-
-  /// Sentinel from heap_allocate_blocking when no proc was given and the
-  /// heap is full (environment-originated messages are dropped, not blocked).
-  static constexpr std::size_t kNoSpace = static_cast<std::size_t>(-1);
-  /// Sentinel from heap_allocate_blocking when the wait's deadline expired.
-  static constexpr std::size_t kDeadline = static_cast<std::size_t>(-2);
-
-  // ---- reliable transport (active only when cfg_.reliable.enabled) ----
-  /// One direction of physical traffic between two PEs. Sender-side state
-  /// (sequencing + the retransmit buffer) and receiver-side state (the
-  /// settled-sequence summary and the pending ack flush) live together
-  /// because the simulator hosts both ends.
-  struct ReliableChannel {
-    /// A message held for retransmission until the receiver acks its
-    /// sequence. Retransmit attempts rebuild a fresh physical copy from
-    /// this prototype, so no heap block is pinned while waiting.
-    struct Pending {
-      TaskId from{};
-      TaskId to{};
-      std::string type;
-      std::vector<Value> args;
-      bool to_reply_queue = false;
-      int attempts = 0;        ///< retransmissions performed so far
-      sim::Tick deadline = 0;  ///< absolute give-up tick; 0 = none
-    };
-    std::uint64_t next_seq = 0;               ///< sender: last sequence issued
-    std::map<std::uint64_t, Pending> unacked; ///< sender: retransmit buffer
-    std::uint64_t settled_to = 0;             ///< receiver: contiguous watermark
-    std::set<std::uint64_t> settled_above;    ///< receiver: out-of-order settles
-    bool ack_pending = false;                 ///< receiver: flush scheduled
-  };
-  using ChannelKey = std::pair<int, int>;  ///< (sender PE, receiver PE)
-
-  [[nodiscard]] static bool reliable_exempt(const std::string& type);
-  [[nodiscard]] static bool channel_settled(const ReliableChannel& ch,
-                                            std::uint64_t seq);
-  static void channel_settle(ReliableChannel& ch, std::uint64_t seq);
-  /// Backoff before the n-th retransmission: base · factor^(n-1), capped.
-  /// Repeated multiplication (not pow) so fiber and thread backends compute
-  /// bit-identical delays.
-  [[nodiscard]] sim::Tick reliable_backoff(int attempt) const;
-  /// Stamp `msg` with the next channel sequence, enter it into the
-  /// retransmit buffer, and arm the first retransmit timer.
-  void register_reliable(Message& msg, TaskId from, TaskId to,
-                         bool to_reply_queue, int bill_from, int dest_pe);
-  void schedule_retransmit(ChannelKey key, std::uint64_t seq, sim::Tick delay);
-  /// Retransmit timer body: no-op if acked, give up past the deadline or
-  /// budget, otherwise re-send a fresh copy and re-arm with doubled backoff.
-  void retransmit_fire(ChannelKey key, std::uint64_t seq);
-  /// Drop the pending entry, surface _SENDFAIL to the sender (out-of-band,
-  /// like _CHILDTERM), and notify the session layer's hook.
-  void reliable_send_fail(ChannelKey key, std::uint64_t seq,
-                          const char* reason);
-  void schedule_ack_flush(ChannelKey key);
-  /// Ack-flush timer body: bill one reverse control word, then clear every
-  /// settled sequence out of the sender's retransmit buffer (cumulative ack).
-  void flush_acks(ChannelKey key);
-  /// The bus fault gauntlet, shared by first sends and retransmissions.
-  /// Engaged when a FaultInjector is armed and the type is not exempt.
-  /// Returns the post() result when the fault machinery consumed the copy
-  /// (partitioned, lost, delivered with a duplicate, or delayed); nullopt
-  /// means the caller should deliver normally.
-  std::optional<bool> apply_bus_faults(Message& msg, TaskId from, TaskId to,
-                                       bool to_reply_queue, int sender_pe,
-                                       int bill_from, int dest_pe);
 
   // ---- fault injection and recovery ----
   /// Build the FaultInjector and schedule the plan's timed faults (boot).
@@ -427,9 +321,6 @@ class Runtime {
   [[nodiscard]] bool pe_usable(int pe) const {
     return faults_ == nullptr || !faults_->pe_halted(pe);
   }
-  /// Bounded retry/backoff for heap allocation during an injected outage.
-  static constexpr int kHeapOutageAttempts = 8;
-  static constexpr sim::Tick kHeapOutageBackoffTicks = 25'000;
   /// Window requests re-sent before giving up, when faults are enabled.
   static constexpr int kWindowRequestAttempts = 4;
   /// Disk passes (1 initial + retries) before an injected error surfaces.
@@ -452,7 +343,6 @@ class Runtime {
   config::Configuration cfg_;
   trace::Tracer tracer_;
   std::map<std::string, TaskBody> tasktypes_;
-  std::map<std::string, int> message_arity_;
   // Heaps are declared before clusters_: task records hold SharedBlocks
   // whose destructors release into common_heap_, so the records must be
   // destroyed first (members destruct in reverse declaration order).
@@ -466,21 +356,10 @@ class Runtime {
   /// 0 — can own the terminal.
   std::optional<int> terminal_cluster_;
   std::uint64_t next_unique_ = 0;
-  std::uint64_t next_msg_seq_ = 0;
   std::uint64_t next_request_id_ = 0;
   std::vector<std::tuple<int, fsim::FileStore, int>> pending_file_stores_;
-
-  /// A sender blocked on a full message heap, with the block size it needs.
-  struct HeapWaiter {
-    mmos::Proc* proc = nullptr;
-    std::size_t need = 0;
-  };
-  /// FIFO of blocked senders. heap_release wakes waiters in arrival order,
-  /// first-fit against the recovered space, instead of waking everyone to
-  /// stampede for it.
-  std::deque<HeapWaiter> heap_waiters_;
   std::unique_ptr<flex::FaultInjector> faults_;  ///< null unless cfg_.faults.any()
-  std::map<ChannelKey, ReliableChannel> reliable_channels_;
+  Transport transport_{*this};
   TaskStartHook task_start_hook_;
   TerminationHook termination_hook_;
   SendFailHook send_fail_hook_;

@@ -2,6 +2,8 @@
 
 #include <utility>
 
+#include "sim/backoff.hpp"
+
 namespace pisces::session {
 
 Supervisor::Supervisor(rt::Runtime& rt, config::SupervisionConfig cfg)
@@ -90,13 +92,10 @@ void Supervisor::on_termination(const rt::Runtime::TerminationInfo& info) {
     return;
   }
   ++lin.attempts;
-  // Exponential backoff: base · factor^(attempt-1), capped. Computed by
-  // repeated multiplication (not pow) so the delay is the same bit pattern
-  // everywhere the same binary runs.
-  double d = static_cast<double>(lin.policy.backoff_base);
-  for (int i = 1; i < lin.attempts; ++i) d *= lin.policy.backoff_factor;
-  const auto cap = static_cast<double>(lin.policy.backoff_cap);
-  const auto delay = static_cast<sim::Tick>(d > cap ? cap : d);
+  const sim::Tick delay =
+      sim::Backoff{lin.policy.backoff_base, lin.policy.backoff_factor,
+                   lin.policy.backoff_cap}
+          .delay(lin.attempts);
   ++stats_.restarts_scheduled;
   trace(info.id, info.parent,
         "restart-scheduled " + info.tasktype + " attempt=" +

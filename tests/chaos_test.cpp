@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <iterator>
 #include <memory>
 #include <random>
 #include <tuple>
@@ -60,8 +61,9 @@ constexpr int kRounds = 2;
 /// Master/worker placement workload under a fault plan. Every wait is
 /// bounded, so the run finishes degraded (fewer results) rather than
 /// hanging when faults eat tasks or messages.
-RunResult run_chaos(const flex::FaultPlan& plan) {
-  sim::Engine eng;
+RunResult run_chaos(const flex::FaultPlan& plan,
+                    sim::Backend backend = sim::default_backend()) {
+  sim::Engine eng(backend);
   flex::Machine machine{eng};
   mmos::System sys{machine};
   config::Configuration cfg = config::Configuration::simple(3);
@@ -1312,6 +1314,64 @@ TEST(Reliable, SendDeadlineBoundsBlockingAndSurfacesFailure) {
   EXPECT_GT(sent_at, 1'500'000);
   EXPECT_LE(released_at, sent_at + 2'010'000);
   EXPECT_EQ(rt.message_heap().in_use(), 0u);
+}
+
+// ---- pinned replay keys ----------------------------------------------
+
+/// A run's replay key without its engine event count, so engine work that
+/// only removes events leaves the pinned keys below untouched.
+template <typename Tuple>
+auto without_events(const Tuple& key) {
+  return std::apply(
+      [](const auto& end_tick, const auto& /*events_fired*/,
+         const auto&... rest) { return std::tuple(end_tick, rest...); },
+      key);
+}
+
+TEST(ReplayKeys, PinnedTrajectoriesOnBothBackends) {
+  // The replay and backend-identity tests compare two runs of the same
+  // binary, so a change that moves a trajectory the same way everywhere
+  // passes them. These keys were recorded once, on the fiber backend, and
+  // pin the reliable, chaos and topology trajectories outright.
+  using ReliableKey = decltype(without_events(ReliableRunResult{}.key()));
+  using ChaosKey = decltype(without_events(RunResult{}.key()));
+  using TopoKey = decltype(without_events(SupRunResult{}.key()));
+  const std::uint64_t seeds[] = {1, 42, 31337};
+  const ReliableKey reliable[] = {
+      {40154760, 37, 37, 0, 37, 41, 2, 39, 37, 0, 2, 2, 14, 0, 2, 2, 0, 12},
+      {40155327, 37, 37, 0, 37, 43, 4, 39, 37, 0, 4, 2, 17, 0, 4, 2, 0, 12},
+      {40009498, 37, 37, 0, 37, 42, 2, 40, 37, 0, 2, 3, 13, 0, 2, 3, 0, 12}};
+  const ReliableKey reliable_heavy[] = {
+      {40454949, 37, 37, 0, 37, 50, 11, 39, 37, 0, 11, 2, 16, 0, 11, 2, 1, 12},
+      {40215038, 37, 37, 0, 37, 48, 10, 38, 37, 0, 10, 1, 32, 0, 10, 1, 6, 12},
+      {40455705, 37, 37, 0, 37, 55, 10, 45, 37, 0, 10, 8, 28, 0, 10, 8, 5, 12}};
+  const ChaosKey combo[] = {
+      {20211675, 29, 28, 4, 8, 8, 3, 3, 1, 0, 2, 4, 0, 160915, 265162, 31, 6, 4, 3},
+      {30045867, 23, 21, 6, 7, 7, 3, 3, 1, 2, 0, 1, 0, 40689, 78654, 23, 3, 3, 3},
+      {20160247, 34, 32, 2, 7, 7, 2, 2, 1, 2, 0, 5, 0, 200976, 300498, 34, 7, 8, 2}};
+  const TopoKey topo[] = {
+      {34153987, 8, 8, 2, 0, 2, 0, 0, 2, 2, 0, 0, 0, 0, 1, 1, 3, 0, 2, 0, 2},
+      {30302156, 6, 6, 1, 0, 1, 0, 0, 1, 1, 0, 0, 0, 0, 1, 1, 3, 1, 1, 0, 1},
+      {34153987, 8, 8, 2, 0, 2, 0, 0, 2, 2, 0, 0, 0, 0, 1, 1, 3, 0, 2, 0, 2}};
+  for (const sim::Backend backend : {sim::Backend::fibers, sim::Backend::threads}) {
+    for (std::size_t i = 0; i < std::size(seeds); ++i) {
+      const std::uint64_t seed = seeds[i];
+      SCOPED_TRACE("seed=" + std::to_string(seed) + " backend=" +
+                   std::to_string(static_cast<int>(backend)));
+      EXPECT_EQ(without_events(
+                    run_reliable(reliable_mix(seed), reliable_on(), backend).key()),
+                reliable[i]);
+      EXPECT_EQ(without_events(run_reliable(reliable_heavy_mix(seed),
+                                            reliable_on(), backend)
+                                   .key()),
+                reliable_heavy[i]);
+      EXPECT_EQ(without_events(run_chaos(combo_mix(seed), backend).key()),
+                combo[i]);
+      EXPECT_EQ(without_events(
+                    run_topo_supervised(topo_storm_mix(seed), backend).key()),
+                topo[i]);
+    }
+  }
 }
 
 }  // namespace

@@ -139,6 +139,49 @@ TEST(Persistence, LoadRejectsUnknownKey) {
   EXPECT_THROW(Configuration::load(ss), std::runtime_error);
 }
 
+TEST(Persistence, LoadConsumesEveryLineInFullAndNamesTheFault) {
+  // Each of these lines used to load partially or with junk ignored. Now
+  // each throws, naming its line number and the offending token.
+  const struct {
+    const char* line;
+    const char* token;
+  } bad[] = {
+      {"timelimit 5000 garbage", "'garbage'"},  // trailing token
+      {"reliable 5", "'reliable'"},             // missing fields
+      {"cluster 1 primary x slots 9 terminal 1 secondaries", "'x'"},
+      {"cluster 1 primary 3 slotz 9 terminal 1 secondaries", "'slotz'"},
+      {"heap lots", "'lots'"},                  // non-numeric field
+      {"cluster 1 primary 3 slots 4 terminal 1 secondaries 7 x 9", "'x'"},
+  };
+  for (const auto& c : bad) {
+    SCOPED_TRACE(c.line);
+    std::stringstream ss(std::string("pisces-config v1\nname strict\n") +
+                         c.line + "\nend\n");
+    try {
+      (void)Configuration::load(ss);
+      ADD_FAILURE() << "loaded without an error";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3:"), std::string::npos) << what;
+      EXPECT_NE(what.find(c.token), std::string::npos) << what;
+    }
+  }
+  // The one deliberate exception: a trace line written before later event
+  // kinds existed still loads, with those kinds off.
+  std::stringstream legacy("pisces-config v1\ntrace 1 0 1\nend\n");
+  const Configuration cfg = Configuration::load(legacy);
+  EXPECT_TRUE(cfg.trace.get(trace::EventKind::task_init));
+  EXPECT_FALSE(cfg.trace.get(trace::EventKind::task_term));
+  EXPECT_TRUE(cfg.trace.get(trace::EventKind::msg_send));
+  EXPECT_FALSE(cfg.trace.get(trace::EventKind::dup_drop));
+  // `name` takes the rest of its line, so a name save() writes loads back.
+  Configuration named = Configuration::simple(1);
+  named.name = "two words";
+  std::stringstream ss;
+  named.save(ss);
+  EXPECT_EQ(Configuration::load(ss).name, "two words");
+}
+
 TEST(Menu, BuildsTheSection9MappingInteractively) {
   // Drive the configuration environment exactly as Section 9 describes.
   ConfigMenu menu;

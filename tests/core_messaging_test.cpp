@@ -677,6 +677,68 @@ TEST(Heap, ManyBlockedSendersAllComplete) {
   EXPECT_FALSE(f->timed_out());
 }
 
+// Regression: a sender blocked on a full heap can be woken by something other
+// than a release — here a message arriving for its own task. It used to join
+// the waiter FIFO a second time on re-blocking, and the stale entry then
+// spent a later release's wake budget, leaving a sender that fits blocked.
+TEST(Heap, SenderWokenByArrivalKeepsOneWaiterEntry) {
+  config::Configuration cfg = config::Configuration::simple(6);
+  cfg.message_heap_bytes = 4096;  // two blobs fit, a third does not
+  Fixture f(cfg);
+  const std::vector<double> blob(180, 0.0);  // a 1488-byte heap block
+  auto id_on = [&f](int cluster) {
+    return f->cluster(cluster).slot(kFirstUserSlot).id;
+  };
+  bool d_sent = false;
+  sim::Tick d_sent_at = 0;
+  int received = 0;
+  f->register_tasktype("sink", [&](TaskContext& ctx) {
+    ctx.compute(4'000'000);
+    received += ctx.accept(AcceptSpec{}.of("blob").forever()).count("blob");  // wakes A
+    ctx.compute(100'000);
+    received += ctx.accept(AcceptSpec{}.of("blob").forever()).count("blob");  // must wake D
+    ctx.accept(AcceptSpec{}.of("done").delay_for(10'000'000));
+  });
+  f->register_tasktype("filler", [&](TaskContext& ctx) {
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});
+  });
+  f->register_tasktype("a", [&](TaskContext& ctx) {
+    ctx.compute(1'000'000);
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});  // blocks
+    // Stay alive, holding the poke, past the sink's second release.
+    ctx.accept(AcceptSpec{}.of("never").delay_for(10'000'000));
+  });
+  f->register_tasktype("b", [&](TaskContext& ctx) {
+    ctx.compute(2'000'000);
+    ctx.send(Dest::To(id_on(4)), "poke");  // wakes A, which re-blocks
+  });
+  f->register_tasktype("d", [&](TaskContext& ctx) {
+    ctx.compute(3'000'000);
+    d_sent = ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});  // blocks
+    d_sent_at = ctx.runtime().engine().now();
+    ctx.send(Dest::To(id_on(2)), "done");
+  });
+  f->register_tasktype("main", [&](TaskContext& ctx) {
+    ctx.initiate(Where::Cluster(2), "sink");
+    ctx.initiate(Where::Cluster(3), "filler");
+    ctx.initiate(Where::Cluster(4), "a");
+    ctx.initiate(Where::Cluster(5), "b");
+    ctx.initiate(Where::Cluster(6), "d");
+  });
+  f->boot();
+  f->user_initiate(1, "main");
+  f->run();
+  // D fits once the sink's second blob is released (~4.1M ticks); it must
+  // not wait for the bounded waits above to expire at ~14M.
+  EXPECT_TRUE(d_sent);
+  EXPECT_LT(d_sent_at, 5'000'000);
+  EXPECT_EQ(received, 2);
+  EXPECT_GE(f->stats().heap_full_waits, 3u);
+  EXPECT_FALSE(f->timed_out());
+  EXPECT_EQ(f->message_heap().in_use(), 0u);
+}
+
 // Regression: broadcast iterated the live slot table while each post may
 // block on a full message heap. A slot recycled during such a block received
 // the copy meant for its predecessor — a task created mid-broadcast was hit
