@@ -67,7 +67,12 @@ std::size_t Transport::heap_allocate_blocking(std::size_t bytes,
       continue;
     }
     auto off = heap.allocate(bytes);
-    if (off.has_value()) return *off;
+    if (off.has_value()) {
+      // Woken by something other than a release, the sender may still
+      // hold its FIFO entry; a later release must not spend budget on it.
+      if (retried) leave_queue();
+      return *off;
+    }
     if (proc == nullptr) return kNoSpace;
     ++rt_->stats_.heap_full_waits;
     const std::size_t need =
@@ -344,6 +349,26 @@ void Transport::ReliableChannel::settle(std::uint64_t seq) {
   }
 }
 
+sim::EventSlot Transport::retransmit_slot(int attempts) {
+  const config::ReliableConfig& rel = rt_->cfg_.reliable;
+  const sim::Tick delay =
+      sim::Backoff{rel.backoff_base, rel.backoff_factor, rel.backoff_cap}
+          .delay(attempts);
+  return rt_->engine().reserve_order(rt_->engine().now() + delay);
+}
+
+void Transport::arm(ReliableChannel& ch, ChannelKey key, sim::EventSlot slot) {
+  // Compare with the queued timers only: the earliest of them is never
+  // later than any buffered message's place.
+  if (!ch.timers.empty() &&
+      *std::min_element(ch.timers.begin(), ch.timers.end()) <= slot) {
+    return;
+  }
+  ch.timers.push_back(slot);
+  rt_->engine().schedule_reserved(
+      slot, [this, key, slot] { retransmit_fire(key, slot); });
+}
+
 void Transport::register_reliable(Message& msg, const Route& r) {
   const ChannelKey key{r.bill_from, r.dest_pe};
   auto& ch = reliable_channels_[key];
@@ -354,59 +379,62 @@ void Transport::register_reliable(Message& msg, const Route& r) {
   ++rt_->stats_.reliable_copies_sent;
   const sim::Tick send_deadline = rt_->cfg_.reliable.send_deadline;
   // Retransmissions rebuild the copy from this prototype.
-  ch.unacked.emplace(
-      msg.chan_seq,
-      ReliableChannel::Pending{
-          msg.sender, r.to, msg.type, msg.args, r.to_reply_queue, 0,
-          send_deadline > 0 ? rt_->engine().now() + send_deadline : 0});
-  schedule_retransmit(key, msg.chan_seq, 1);
+  ch.unacked.push_back(ReliableChannel::Pending{
+      .due = retransmit_slot(1),
+      .seq = msg.chan_seq,
+      .from = msg.sender,
+      .to = r.to,
+      .type = msg.type,
+      .args = msg.args,
+      .to_reply_queue = r.to_reply_queue,
+      .deadline = send_deadline > 0 ? rt_->engine().now() + send_deadline : 0});
+  arm(ch, key, ch.unacked.back().due);
 }
 
-void Transport::schedule_retransmit(ChannelKey key, std::uint64_t seq,
-                                    int attempt) {
-  const config::ReliableConfig& rel = rt_->cfg_.reliable;
-  const sim::Tick delay =
-      sim::Backoff{rel.backoff_base, rel.backoff_factor, rel.backoff_cap}
-          .delay(attempt);
-  rt_->engine().schedule(rt_->engine().now() + delay,
-                         [this, key, seq] { retransmit_fire(key, seq); });
-}
-
-void Transport::retransmit_fire(ChannelKey key, std::uint64_t seq) {
-  auto chit = reliable_channels_.find(key);
-  if (chit == reliable_channels_.end()) return;
-  auto& ch = chit->second;
-  const auto it = ch.unacked.find(seq);
-  if (it == ch.unacked.end()) return;  // acked meanwhile: timer no-ops
-  auto& p = it->second;
-  const char* give_up = nullptr;
-  if (p.deadline > 0 && rt_->engine().now() >= p.deadline) {
-    give_up = "deadline";
-  } else if (p.attempts >= rt_->cfg_.reliable.max_retries) {
-    give_up = "retries";
+void Transport::retransmit_fire(ChannelKey key, sim::EventSlot slot) {
+  auto& ch = reliable_channels_[key];
+  std::erase(ch.timers, slot);
+  // At most one buffered message is due in this place; it may have been
+  // acked meanwhile, and then there is nothing to resend.
+  const auto it = std::find_if(ch.unacked.begin(), ch.unacked.end(),
+                               [slot](const auto& p) { return p.due == slot; });
+  if (it != ch.unacked.end()) {
+    const char* give_up = nullptr;
+    if (it->deadline > 0 && rt_->engine().now() >= it->deadline) {
+      give_up = "deadline";
+    } else if (it->attempts >= rt_->cfg_.reliable.max_retries) {
+      give_up = "retries";
+    }
+    if (give_up != nullptr) {
+      const ReliableChannel::Pending failed = std::move(*it);
+      ch.unacked.erase(it);
+      send_fail(failed.from, failed.to, failed.type, failed.attempts, give_up);
+    } else {
+      const std::size_t index = static_cast<std::size_t>(it - ch.unacked.begin());
+      const int attempt = ++it->attempts;
+      Message m{.type = it->type, .sender = it->from, .args = it->args,
+                .chan_seq = it->seq, .chan_from = key.first, .chan_to = key.second};
+      const Route r{it->to, it->to_reply_queue, key.first, key.first, key.second};
+      // Timers run proc-less, so allocation cannot block; a full heap costs
+      // the attempt (the budget still bounds total work under a persistent
+      // outage) and the next check tries again.
+      const std::size_t bytes = m.encoded_size();
+      if (auto off = rt_->msg_heap_->allocate(bytes); off.has_value()) {
+        m.heap_offset = *off;
+        m.heap_bytes = bytes;
+        (void)launch(std::move(m), r, nullptr, attempt, true);
+      }
+      // Acks flush as later events, so the message is still buffered, at
+      // the same index: reserve its next check after this copy's events.
+      ch.unacked[index].due = retransmit_slot(attempt + 1);
+    }
   }
-  if (give_up != nullptr) {
-    const ReliableChannel::Pending failed = std::move(p);
-    ch.unacked.erase(it);
-    send_fail(failed.from, failed.to, failed.type, failed.attempts, give_up);
-    return;
+  if (!ch.unacked.empty()) {
+    arm(ch, key,
+        std::min_element(ch.unacked.begin(), ch.unacked.end(),
+                         [](const auto& a, const auto& b) { return a.due < b.due; })
+            ->due);
   }
-  const int attempt = ++p.attempts;
-  Message m{.type = p.type, .sender = p.from, .args = p.args, .chan_seq = seq,
-            .chan_from = key.first, .chan_to = key.second};
-  const Route r{p.to, p.to_reply_queue, key.first, key.first, key.second};
-  // Timers run proc-less, so allocation cannot block; a full heap costs the
-  // attempt (the budget still bounds total work under a persistent outage)
-  // and the next timer tries again.
-  const std::size_t bytes = m.encoded_size();
-  if (auto off = rt_->msg_heap_->allocate(bytes); off.has_value()) {
-    m.heap_offset = *off;
-    m.heap_bytes = bytes;
-    (void)launch(std::move(m), r, nullptr, attempt, true);
-  }
-  // Acks flush as later events, so `seq` is still buffered: re-arm. (A timer
-  // that fires after the ack finds nothing to resend.)
-  schedule_retransmit(key, seq, attempt + 1);
 }
 
 void Transport::flush_acks(ChannelKey key) {
@@ -423,8 +451,10 @@ void Transport::flush_acks(ChannelKey key) {
   rt_->trace_event(trace::EventKind::ack, {}, {}, key.second, ch.settled_to,
                    "chan " + std::to_string(key.first) + "->" +
                        std::to_string(key.second));
+  // Acked messages leave the buffer; a timer queued for one of them fires
+  // with nothing to resend and re-arms for the rest.
   std::erase_if(ch.unacked,
-                [&ch](const auto& entry) { return ch.settled(entry.first); });
+                [&ch](const auto& p) { return ch.settled(p.seq); });
 }
 
 // ---- TO ALL relay tree ----

@@ -12,6 +12,7 @@
 
 #include "core/message.hpp"
 #include "sim/backoff.hpp"
+#include "sim/engine.hpp"
 
 namespace pisces::mmos {
 class Proc;
@@ -102,22 +103,38 @@ class Transport {
 
   /// One direction of reliable traffic between two PEs, sender and
   /// receiver state together (the simulator hosts both ends).
+  ///
+  /// Every buffered message owns a place in the engine's event order, `due`,
+  /// reserved when its retransmit timer would have been scheduled. The
+  /// channel queues a timer only for the earliest of them, so a message
+  /// acked before its place comes up costs the engine no event. The queued
+  /// timer fires in that place, handles the message due there, and re-arms
+  /// at the next earliest: each retransmit happens in exactly the place a
+  /// timer per message would have given it. (A place never filled still
+  /// counts as an event at its tick wherever a run stops; see
+  /// sim::Engine::reserve_order.)
   struct ReliableChannel {
     /// A message held until acked; retransmits rebuild copies from it.
     struct Pending {
+      sim::EventSlot due;       ///< where its next retransmit check fires
+      std::uint64_t seq = 0;    ///< channel sequence
       TaskId from{};
       TaskId to{};
       std::string type;
-      std::vector<Value> args;
+      std::vector<Value> args;  ///< shares its arrays with the sent copy
       bool to_reply_queue = false;
-      int attempts = 0;        ///< retransmissions performed so far
-      sim::Tick deadline = 0;  ///< absolute give-up tick; 0 = none
+      int attempts = 0;         ///< retransmissions performed so far
+      sim::Tick deadline = 0;   ///< absolute give-up tick; 0 = none
     };
-    std::uint64_t next_seq = 0;               ///< sender: last sequence issued
-    std::map<std::uint64_t, Pending> unacked; ///< sender: retransmit buffer
-    std::uint64_t settled_to = 0;             ///< receiver: contiguous watermark
-    std::set<std::uint64_t> settled_above;    ///< receiver: out-of-order settles
-    bool ack_pending = false;                 ///< receiver: flush scheduled
+    std::uint64_t next_seq = 0;     ///< sender: last sequence issued
+    std::vector<Pending> unacked;   ///< sender: retransmit buffer, by seq
+    /// Sender: places of the queued timers, earliest never later than any
+    /// `due`. One, except when a send's place precedes a backed-off
+    /// retransmit's queued timer; both then stay queued.
+    std::vector<sim::EventSlot> timers;
+    std::uint64_t settled_to = 0;           ///< receiver: contiguous watermark
+    std::set<std::uint64_t> settled_above;  ///< receiver: out-of-order settles
+    bool ack_pending = false;               ///< receiver: flush scheduled
 
     [[nodiscard]] bool settled(std::uint64_t seq) const {
       return seq <= settled_to || settled_above.count(seq) != 0;
@@ -126,10 +143,17 @@ class Transport {
   };
   using ChannelKey = std::pair<int, int>;  ///< (sender PE, receiver PE)
 
-  /// Stamp `msg` with its channel sequence, buffer it, arm the first timer.
+  /// Stamp `msg` with its channel sequence, buffer it, and reserve the place
+  /// of its first retransmit check.
   void register_reliable(Message& msg, const Route& r);
-  void schedule_retransmit(ChannelKey key, std::uint64_t seq, int attempt);
-  void retransmit_fire(ChannelKey key, std::uint64_t seq);
+  /// Reserve the place of the retransmit check after `attempts` copies.
+  [[nodiscard]] sim::EventSlot retransmit_slot(int attempts);
+  /// Make sure a timer is queued no later than `slot` on the channel.
+  void arm(ReliableChannel& ch, ChannelKey key, sim::EventSlot slot);
+  /// The channel's timer at `slot`: retransmit or give up on the message
+  /// due there, if it is still buffered, then re-arm at the earliest `due`
+  /// left.
+  void retransmit_fire(ChannelKey key, sim::EventSlot slot);
   void flush_acks(ChannelKey key);
 
   /// An in-flight TO ALL tree: positions 1..targets.size() of a k-ary tree

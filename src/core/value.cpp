@@ -57,6 +57,25 @@ TaskId get_taskid(const std::vector<std::byte>& in, std::size_t& pos) {
 
 constexpr std::size_t kTaskIdBytes = 4 + 4 + 8;
 constexpr std::size_t kWindowBytes = kTaskIdBytes + 4 + 4 * 4 + 2 * 4;
+/// The smallest packed value, a LOGICAL: tag byte + one payload byte.
+constexpr std::size_t kMinValueBytes = 2;
+
+using RealArray = std::shared_ptr<const std::vector<double>>;
+using IntArray = std::shared_ptr<const std::vector<std::int64_t>>;
+using List = std::shared_ptr<const ValueList>;
+
+/// Read a length prefix and check that `n` elements of at least
+/// `min_bytes` each fit in what is left of `in`, before anything is sized
+/// from it.
+std::uint32_t get_count(const std::vector<std::byte>& in, std::size_t& pos,
+                        std::size_t min_bytes, const char* what) {
+  const auto n = get_raw<std::uint32_t>(in, pos);
+  if (n > (in.size() - pos) / min_bytes) {
+    throw std::runtime_error(std::string("Value: ") + what +
+                             " length exceeds the packet");
+  }
+  return n;
+}
 
 }  // namespace
 
@@ -92,17 +111,17 @@ Window Value::as_window() const {
 }
 
 const std::vector<double>& Value::as_real_array() const {
-  if (const auto* p = std::get_if<std::vector<double>>(&v_)) return *p;
+  if (const auto* p = std::get_if<RealArray>(&v_)) return **p;
   type_error("REAL array");
 }
 
 const std::vector<std::int64_t>& Value::as_int_array() const {
-  if (const auto* p = std::get_if<std::vector<std::int64_t>>(&v_)) return *p;
+  if (const auto* p = std::get_if<IntArray>(&v_)) return **p;
   type_error("INTEGER array");
 }
 
 const ValueList& Value::as_list() const {
-  if (const auto* p = std::get_if<std::shared_ptr<const ValueList>>(&v_)) return **p;
+  if (const auto* p = std::get_if<List>(&v_)) return **p;
   type_error("argument list");
 }
 
@@ -116,11 +135,9 @@ std::size_t Value::encoded_size() const {
                    if constexpr (std::is_same_v<T, std::string>) return 4 + x.size();
                    if constexpr (std::is_same_v<T, TaskId>) return kTaskIdBytes;
                    if constexpr (std::is_same_v<T, Window>) return kWindowBytes;
-                   if constexpr (std::is_same_v<T, std::vector<double>>)
-                     return 4 + 8 * x.size();
-                   if constexpr (std::is_same_v<T, std::vector<std::int64_t>>)
-                     return 4 + 8 * x.size();
-                   if constexpr (std::is_same_v<T, std::shared_ptr<const ValueList>>) {
+                   if constexpr (std::is_same_v<T, RealArray>) return 4 + 8 * x->size();
+                   if constexpr (std::is_same_v<T, IntArray>) return 4 + 8 * x->size();
+                   if constexpr (std::is_same_v<T, List>) {
                      std::size_t n = 4;
                      for (const auto& v : *x) n += v.encoded_size();
                      return n;
@@ -160,15 +177,15 @@ void Value::encode(std::vector<std::byte>& out) const {
           put_raw(out, static_cast<std::int32_t>(x.rect.cols));
           put_raw(out, static_cast<std::int32_t>(x.array_rows));
           put_raw(out, static_cast<std::int32_t>(x.array_cols));
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+        } else if constexpr (std::is_same_v<T, RealArray>) {
           out.push_back(std::byte{static_cast<std::uint8_t>(Tag::real_array)});
-          put_u32(out, x.size());
-          for (double d : x) put_raw(out, d);
-        } else if constexpr (std::is_same_v<T, std::vector<std::int64_t>>) {
+          put_u32(out, x->size());
+          for (double d : *x) put_raw(out, d);
+        } else if constexpr (std::is_same_v<T, IntArray>) {
           out.push_back(std::byte{static_cast<std::uint8_t>(Tag::int_array)});
-          put_u32(out, x.size());
-          for (std::int64_t d : x) put_raw(out, d);
-        } else if constexpr (std::is_same_v<T, std::shared_ptr<const ValueList>>) {
+          put_u32(out, x->size());
+          for (std::int64_t d : *x) put_raw(out, d);
+        } else if constexpr (std::is_same_v<T, List>) {
           out.push_back(std::byte{static_cast<std::uint8_t>(Tag::list)});
           put_u32(out, x->size());
           for (const Value& v : *x) v.encode(out);
@@ -208,19 +225,19 @@ Value Value::decode(const std::vector<std::byte>& in, std::size_t& pos) {
       return Value(w);
     }
     case Tag::real_array: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
+      const auto n = get_count(in, pos, sizeof(double), "REAL array");
       std::vector<double> xs(n);
       for (auto& x : xs) x = get_raw<double>(in, pos);
       return Value(std::move(xs));
     }
     case Tag::int_array: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
+      const auto n = get_count(in, pos, sizeof(std::int64_t), "INTEGER array");
       std::vector<std::int64_t> xs(n);
       for (auto& x : xs) x = get_raw<std::int64_t>(in, pos);
       return Value(std::move(xs));
     }
     case Tag::list: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
+      const auto n = get_count(in, pos, kMinValueBytes, "argument list");
       ValueList items;
       items.reserve(n);
       for (std::uint32_t i = 0; i < n; ++i) items.push_back(decode(in, pos));
@@ -240,11 +257,11 @@ std::string Value::str() const {
         if constexpr (std::is_same_v<T, std::string>) return "'" + x + "'";
         if constexpr (std::is_same_v<T, TaskId>) return x.str();
         if constexpr (std::is_same_v<T, Window>) return x.str();
-        if constexpr (std::is_same_v<T, std::vector<double>>)
-          return "real[" + std::to_string(x.size()) + "]";
-        if constexpr (std::is_same_v<T, std::vector<std::int64_t>>)
-          return "int[" + std::to_string(x.size()) + "]";
-        if constexpr (std::is_same_v<T, std::shared_ptr<const ValueList>>)
+        if constexpr (std::is_same_v<T, RealArray>)
+          return "real[" + std::to_string(x->size()) + "]";
+        if constexpr (std::is_same_v<T, IntArray>)
+          return "int[" + std::to_string(x->size()) + "]";
+        if constexpr (std::is_same_v<T, List>)
           return "list[" + std::to_string(x->size()) + "]";
       },
       v_);
@@ -252,12 +269,19 @@ std::string Value::str() const {
 
 bool operator==(const Value& a, const Value& b) {
   if (a.v_.index() != b.v_.index()) return false;
-  if (a.is_list()) {
-    const auto& la = a.as_list();
-    const auto& lb = b.as_list();
-    return la == lb;
-  }
-  return a.v_ == b.v_;
+  return std::visit(
+      [&b](const auto& x) {
+        using T = std::decay_t<decltype(x)>;
+        const T& y = std::get<T>(b.v_);
+        // Shared arrays and lists compare by contents, not by pointer.
+        if constexpr (std::is_same_v<T, RealArray> || std::is_same_v<T, IntArray> ||
+                      std::is_same_v<T, List>) {
+          return *x == *y;
+        } else {
+          return x == y;
+        }
+      },
+      a.v_);
 }
 
 std::vector<std::byte> encode_args(const std::vector<Value>& args) {
@@ -273,9 +297,7 @@ std::vector<std::byte> encode_args(const std::vector<Value>& args) {
 std::vector<Value> decode_args(const std::vector<std::byte>& bytes) {
   std::size_t pos = 0;
   if (bytes.size() < 4) throw std::runtime_error("decode_args: truncated header");
-  std::uint32_t n;
-  std::memcpy(&n, bytes.data(), 4);
-  pos = 4;
+  const std::uint32_t n = get_count(bytes, pos, kMinValueBytes, "argument list");
   std::vector<Value> args;
   args.reserve(n);
   for (std::uint32_t i = 0; i < n; ++i) args.push_back(Value::decode(bytes, pos));

@@ -22,11 +22,16 @@ using ValueList = std::vector<Value>;
 /// LOGICAL, CHARACTER, TASKID and WINDOW values plus arrays; a Value is the
 /// C++ embedding of that set. Values serialize to a defined byte layout so
 /// the run-time system can charge real shared-memory storage for messages.
+///
+/// Arrays and lists are immutable once built and shared between copies, so
+/// copying a Value costs O(1) whatever it holds: a retransmit buffer, a
+/// duplicated bus copy or a TO ALL plan holds the sender's array, not a
+/// copy of it. Equality still compares contents.
 class Value {
  public:
   using Storage = std::variant<std::int64_t, double, bool, std::string, TaskId,
-                               Window, std::vector<double>,
-                               std::vector<std::int64_t>,
+                               Window, std::shared_ptr<const std::vector<double>>,
+                               std::shared_ptr<const std::vector<std::int64_t>>,
                                std::shared_ptr<const ValueList>>;
 
   Value() : v_(std::int64_t{0}) {}
@@ -38,8 +43,10 @@ class Value {
   Value(const char* x) : v_(std::string(x)) {}           // NOLINT
   Value(TaskId x) : v_(x) {}                             // NOLINT
   Value(Window x) : v_(x) {}                             // NOLINT
-  Value(std::vector<double> x) : v_(std::move(x)) {}     // NOLINT
-  Value(std::vector<std::int64_t> x) : v_(std::move(x)) {}  // NOLINT
+  Value(std::vector<double> x)                           // NOLINT
+      : v_(std::make_shared<const std::vector<double>>(std::move(x))) {}
+  Value(std::vector<std::int64_t> x)                     // NOLINT
+      : v_(std::make_shared<const std::vector<std::int64_t>>(std::move(x))) {}
   static Value list(ValueList items) {
     Value v;
     v.v_ = std::make_shared<const ValueList>(std::move(items));
@@ -71,7 +78,8 @@ class Value {
   /// Append the packed representation to `out`.
   void encode(std::vector<std::byte>& out) const;
   /// Parse one value from `in` starting at `pos`; advances `pos`.
-  /// Throws std::runtime_error on malformed input.
+  /// Throws std::runtime_error on malformed input, including a length
+  /// prefix that claims more elements than the bytes left could hold.
   static Value decode(const std::vector<std::byte>& in, std::size_t& pos);
 
   /// Human-readable rendering (traces, user-controller terminal output).

@@ -1,7 +1,9 @@
 #include "sim/engine.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cstdlib>
+#include <functional>
 
 #if defined(__SANITIZE_THREAD__)
 #define PISCES_SIM_TSAN 1
@@ -73,6 +75,44 @@ void Engine::schedule(Tick at, EventQueue::Action action) {
   queue_.push(std::max(at, now_), std::move(action));
 }
 
+EventSlot Engine::reserve_order(Tick at) {
+  const EventSlot slot{std::max(at, now_), queue_.reserve_seq()};
+  (void)pass_reservation(now_);  // drops reached ticks; never moves the clock
+  if (slot.at > now_) {
+    reserved_.push_back(slot.at);
+    std::push_heap(reserved_.begin(), reserved_.end(), std::greater<>{});
+  }
+  return slot;
+}
+
+void Engine::schedule_reserved(EventSlot slot, EventQueue::Action action) {
+  if (shutting_down_) return;
+  assert(slot.at >= now_ && "a reserved place cannot be in the past");
+  if (slot.at > now_) {
+    // The place holds an event now: drop one reservation at its tick.
+    const auto it = std::find(reserved_.begin(), reserved_.end(), slot.at);
+    assert(it != reserved_.end() && "a reserved place filled twice");
+    *it = reserved_.back();
+    reserved_.pop_back();
+    std::make_heap(reserved_.begin(), reserved_.end(), std::greater<>{});
+  }
+  queue_.push_keyed(slot.at, slot.seq, std::move(action));
+}
+
+bool Engine::pass_reservation(Tick limit) {
+  while (!reserved_.empty() && reserved_.front() <= limit) {
+    const Tick at = reserved_.front();
+    std::pop_heap(reserved_.begin(), reserved_.end(), std::greater<>{});
+    reserved_.pop_back();
+    if (at > now_) {
+      now_ = at;
+      queue_.advance_to(at);
+      return true;
+    }
+  }
+  return false;
+}
+
 void Engine::schedule_resume(Tick at, Process& p, std::uint64_t word) {
   if (shutting_down_) return;
   queue_.push_resume(std::max(at, now_), p, word);
@@ -124,7 +164,8 @@ void Engine::on_process_finished() {
 }
 
 bool Engine::step() {
-  if (queue_.empty()) return false;
+  // A place reserved and never filled is a no-op event at its tick.
+  if (queue_.empty()) return pass_reservation(kForever);
   const EventQueue::Event event = queue_.pop_event();
   now_ = std::max(now_, event.at);
   ++events_fired_;
@@ -157,8 +198,10 @@ Tick Engine::run_until(Tick limit) {
     ~RestoreHorizon() { horizon = saved; }
   } restore{horizon_, horizon_};
   horizon_ = limit;
-  while (!queue_.empty() && queue_.next_tick() <= limit) {
-    step();
+  while (!queue_.empty() && queue_.next_tick() <= limit) step();
+  // Unfilled places up to the limit count as events too: the clock ends at
+  // the last of them if that comes after the last event fired.
+  while (pass_reservation(limit)) {
   }
   return now_;
 }

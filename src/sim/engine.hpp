@@ -1,5 +1,7 @@
 #pragma once
 
+#include <algorithm>
+#include <compare>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -31,6 +33,14 @@ enum class Backend {
 ///  - Otherwise the compile-time default: fibers, or threads when built
 ///    with -DPISCES_SIM_DEFAULT_THREADS (CMake option PISCES_SIM_THREADS).
 [[nodiscard]] Backend default_backend();
+
+/// A place in the engine's event order: a tick, and a position among the
+/// events at that tick. Compares in firing order.
+struct EventSlot {
+  Tick at = 0;
+  std::uint64_t seq = 0;
+  friend auto operator<=>(const EventSlot&, const EventSlot&) = default;
+};
 
 /// Discrete-event simulation engine: a virtual clock, a time-ordered event
 /// queue, and a set of cooperative processes. This is the substrate on which
@@ -66,6 +76,21 @@ class Engine {
     schedule(now_ + delay, std::move(action));
   }
 
+  /// Reserve the place schedule(at, ...) would give an event now, without
+  /// queueing anything. A caller that may never need the event (a timer
+  /// whose cause is usually resolved first) reserves its place instead of
+  /// scheduling it. A place never filled still acts as a no-op event at its
+  /// tick wherever a run can stop: step() with nothing queued moves the
+  /// clock to it, run_until() counts it among the events up to its limit,
+  /// and pending_events() counts it while it lies ahead. So every run, whole
+  /// or cut, stops at the tick it would reach had the event been scheduled.
+  EventSlot reserve_order(Tick at);
+  /// Queue `action` in a place from reserve_order(): it fires exactly where
+  /// it would have fired had schedule() been called at reservation time.
+  /// The place must not precede the event now firing, and takes at most one
+  /// action.
+  void schedule_reserved(EventSlot slot, EventQueue::Action action);
+
   /// Create a process. The body does not start running until wake() is
   /// called on it. The returned reference stays valid for the Engine's
   /// lifetime (finished processes are reaped down to a tombstone, but the
@@ -89,6 +114,8 @@ class Engine {
   /// Fire a single event if one is pending. Returns false when idle. A step
   /// that resumes a process lasts until that process blocks, so it may cover
   /// several of its slices when it runs ahead (with no limit: kForever).
+  /// With nothing queued but a reserved place ahead, a step only moves the
+  /// clock to the earliest one.
   bool step();
 
   /// Processes currently blocked with no pending event to wake them — a
@@ -114,8 +141,13 @@ class Engine {
   /// Events that actually fired: closures, and resumes that went through the
   /// queue. A run-ahead fires nothing and is not counted.
   [[nodiscard]] std::uint64_t events_fired() const { return events_fired_; }
-  /// Events still queued (0 after run() unless run_until stopped early).
-  [[nodiscard]] std::size_t pending_events() const { return queue_.size(); }
+  /// Events still queued, plus reserved places never filled that lie ahead
+  /// (0 after run() unless run_until stopped early).
+  [[nodiscard]] std::size_t pending_events() const {
+    return queue_.size() + static_cast<std::size_t>(std::count_if(
+                               reserved_.begin(), reserved_.end(),
+                               [this](Tick at) { return at > now_; }));
+  }
   [[nodiscard]] std::size_t live_process_count() const { return live_count_; }
   /// Finished processes already moved to the tombstone list.
   [[nodiscard]] std::size_t reaped_process_count() const {
@@ -137,6 +169,9 @@ class Engine {
   /// the next event fired, move the clock there and return true (the
   /// process keeps running); otherwise change nothing and return false.
   bool run_ahead(Tick at);
+  /// Drop the reserved ticks the clock has reached, then move it to the
+  /// earliest one left if that is at most `limit`. Returns whether it moved.
+  bool pass_reservation(Tick limit);
   /// Instantiate the configured backend for a process about to start.
   std::unique_ptr<detail::ProcessBackend> make_backend(Process& p);
 
@@ -157,6 +192,9 @@ class Engine {
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_fired_ = 0;
   std::exception_ptr failure_;
+  /// Ticks of the places reserved and never filled, as a min-heap; ticks
+  /// the clock has reached are dropped lazily.
+  std::vector<Tick> reserved_;
 };
 
 }  // namespace pisces::sim

@@ -40,6 +40,12 @@ class Process;
 /// clock moves past them — only possible when a caller pushes a tick below
 /// the current one, which the Engine never does — they are spilled back
 /// into the heap before the tick advances.
+///
+/// A sequence number can be taken ahead of its event: reserve_seq() hands
+/// out the number an event pushed now would get, and push_keyed() queues a
+/// closure under it later. Such an event fires exactly where it would have
+/// fired had it been pushed at reservation time. It always goes to the heap,
+/// since its number may be older than FIFO entries at the same tick.
 class EventQueue {
  public:
   using Action = std::function<void()>;
@@ -63,6 +69,15 @@ class EventQueue {
   void push(Tick at, Action action) { insert(at, nullptr, store(std::move(action))); }
   /// Schedule a typed resume of `p`; `arg` comes back in the popped Event.
   void push_resume(Tick at, Process& p, std::uint64_t arg) { insert(at, &p, arg); }
+
+  /// Take the sequence number an event pushed now would get, queueing
+  /// nothing.
+  std::uint64_t reserve_seq() { return next_seq_++; }
+  /// Schedule a closure under a number from reserve_seq(). It must not
+  /// precede the last event popped.
+  void push_keyed(Tick at, std::uint64_t seq, Action action) {
+    heap_insert(Event{at, seq, nullptr, store(std::move(action))});
+  }
 
   [[nodiscard]] bool empty() const { return heap_.empty() && fifo_empty(); }
   [[nodiscard]] std::size_t size() const {
@@ -153,6 +168,10 @@ class EventQueue {
       fifo_.push_back(event);
       return;
     }
+    heap_insert(event);
+  }
+
+  void heap_insert(const Event& event) {
     heap_.push_back(event);
     std::push_heap(heap_.begin(), heap_.end(), Later{});
   }
@@ -182,10 +201,7 @@ class EventQueue {
   }
 
   void spill_fifo() {
-    for (; fifo_head_ < fifo_.size(); ++fifo_head_) {
-      heap_.push_back(fifo_[fifo_head_]);
-      std::push_heap(heap_.begin(), heap_.end(), Later{});
-    }
+    for (; fifo_head_ < fifo_.size(); ++fifo_head_) heap_insert(fifo_[fifo_head_]);
     clear_fifo();
   }
 

@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <functional>
 #include <iterator>
 #include <memory>
 #include <random>
@@ -981,9 +982,12 @@ struct ReliableRunResult {
 /// Master/worker workload with the reliable transport switched on. Same
 /// shape as run_chaos, but no PE halts in the plans it is driven with, so
 /// with retransmission every application message must land exactly once.
-ReliableRunResult run_reliable(const flex::FaultPlan& plan,
-                               const config::ReliableConfig& rel,
-                               sim::Backend backend) {
+/// `observe`, when given, is called after boot and before the first task
+/// starts (to attach trace sinks and hooks).
+ReliableRunResult run_reliable(
+    const flex::FaultPlan& plan, const config::ReliableConfig& rel,
+    sim::Backend backend,
+    const std::function<void(Runtime&)>& observe = nullptr) {
   sim::Engine eng(backend);
   flex::Machine machine{eng};
   mmos::System sys{machine};
@@ -1023,6 +1027,7 @@ ReliableRunResult run_reliable(const flex::FaultPlan& plan,
     }
   });
   rt.boot();
+  if (observe) observe(rt);
   rt.user_initiate(1, "master");
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
@@ -1266,6 +1271,88 @@ TEST(Reliable, RetransmitDoesNotResurrectConsumedMessage) {
   EXPECT_EQ(run(sim::Backend::fibers), run(sim::Backend::threads));
 }
 
+/// Two pings 100k ticks apart on one reliable channel, both acked long
+/// before their retransmit checks come due, so no copy is ever resent.
+/// A timer per message would still fire both checks, as no-ops.
+struct TwoPings {
+  sim::Engine eng;
+  flex::Machine machine{eng};
+  mmos::System sys{machine};
+  Runtime rt;
+  sim::Tick second_sent = 0;
+
+  TwoPings(sim::Backend backend, sim::Tick time_limit)
+      : eng(backend), rt(sys, configure(time_limit)) {
+    rt.register_tasktype("receiver", [this](TaskContext& ctx) {
+      ctx.on_message("ping", [this](TaskContext&, const Message& m) {
+        second_sent = m.sent_at;
+      });
+      ctx.send(Dest::Parent(), "hello", {Value(ctx.self())});
+      ctx.accept(AcceptSpec{}.of("ping", 2).forever());
+    });
+    rt.register_tasktype("master", [](TaskContext& ctx) {
+      TaskId kid;
+      ctx.on_message("hello", [&kid](TaskContext&, const Message& m) {
+        kid = m.args.at(0).as_taskid();
+      });
+      ctx.initiate(Where::Cluster(2), "receiver");
+      ctx.accept(AcceptSpec{}.of("hello").forever());
+      ctx.send(Dest::To(kid), "ping", {});
+      ctx.compute(100'000);
+      ctx.send(Dest::To(kid), "ping", {});
+    });
+    rt.boot();
+    rt.user_initiate(1, "master");
+  }
+
+  static config::Configuration configure(sim::Tick time_limit) {
+    config::Configuration cfg = config::Configuration::simple(2);
+    cfg.reliable.enabled = true;
+    cfg.time_limit = time_limit;
+    return cfg;
+  }
+};
+
+TEST(Reliable, RunDrainsAtLastRetransmitCheck) {
+  // The engine still runs to the later check, as it did with a timer per
+  // message: that sets the tick Runtime::run() returns, and whether a time
+  // limit in between finds work pending.
+  for (const sim::Backend backend : {sim::Backend::fibers, sim::Backend::threads}) {
+    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
+    TwoPings whole(backend, 100'000'000);
+    const sim::Tick end = whole.rt.run();
+    EXPECT_FALSE(whole.rt.timed_out());
+    EXPECT_EQ(end, whole.second_sent + config::ReliableConfig{}.backoff_base);
+    EXPECT_EQ(whole.rt.stats().retransmits, 0u);
+    EXPECT_EQ(whole.rt.message_heap().in_use(), 0u);
+
+    TwoPings exact(backend, end);
+    EXPECT_EQ(exact.rt.run(), end);
+    EXPECT_FALSE(exact.rt.timed_out());
+  }
+}
+
+TEST(Reliable, CutRunStopsWhereTimersDid) {
+  // A run cut by a limit stops at the last event at or before it, an
+  // unfilled retransmit check included, so whatever acts at now() next
+  // (the time-limit console line, the execution environment's menu after
+  // run_for) acts at the tick it did with a timer per message. Values
+  // recorded with a timer per message.
+  for (const sim::Backend backend : {sim::Backend::fibers, sim::Backend::threads}) {
+    SCOPED_TRACE("backend=" + std::to_string(static_cast<int>(backend)));
+    TwoPings limited(backend, 200'000);
+    EXPECT_EQ(limited.rt.run(), 155'148);  // the first ping's check
+    EXPECT_TRUE(limited.rt.timed_out());
+
+    TwoPings stepped(backend, 100'000'000);
+    std::vector<sim::Tick> stops;
+    for (int i = 0; i < 3; ++i) stops.push_back(stepped.rt.run_for(70'000));
+    stops.push_back(stepped.rt.run_for(110'000));
+    EXPECT_EQ(stops, (std::vector<sim::Tick>{69'812, 125'359, 155'148, 255'359}));
+    EXPECT_EQ(stepped.eng.pending_events(), 0u);
+  }
+}
+
 TEST(Reliable, SendDeadlineBoundsBlockingAndSurfacesFailure) {
   // A heap outage spanning the send: with a deadline the sender is released
   // with a typed failure instead of blocking for the whole outage. The
@@ -1370,6 +1457,86 @@ TEST(ReplayKeys, PinnedTrajectoriesOnBothBackends) {
       EXPECT_EQ(without_events(
                     run_topo_supervised(topo_storm_mix(seed), backend).key()),
                 topo[i]);
+    }
+  }
+}
+
+/// Folds every formatted trace line it receives into one FNV-1a hash.
+class LineHash : public trace::Sink {
+ public:
+  void emit(const trace::Record& r) override {
+    for (const char c : r.format() + "\n") {
+      hash_ = (hash_ ^ static_cast<unsigned char>(c)) * 1099511628211ULL;
+    }
+    ++lines_;
+  }
+  [[nodiscard]] std::uint64_t hash() const { return hash_; }
+  [[nodiscard]] std::uint64_t lines() const { return lines_; }
+
+ private:
+  std::uint64_t hash_ = 14695981039346656037ULL;
+  std::uint64_t lines_ = 0;
+};
+
+TEST(ReplayKeys, PinnedRetransmitTimingOnBothBackends) {
+  // The keys above pin how many copies, acks and give-ups a run has; this
+  // pins when each happened. Under 35% loss with reordering, a small retry
+  // budget runs out in one configuration and a send deadline in the other.
+  // Every retransmit, ack, duplicate drop and fault line is hashed with its
+  // tick, and the tick of every _SENDFAIL is listed.
+  struct Pin {
+    std::uint64_t lines;
+    std::uint64_t hash;
+    std::vector<sim::Tick> send_fails;
+  };
+  config::ReliableConfig retries = reliable_on();
+  retries.max_retries = 1;
+  retries.send_deadline = 5'000'000;
+  config::ReliableConfig deadline = reliable_on();
+  deadline.max_retries = 4;
+  deadline.send_deadline = 600'000;
+  auto lossy = [](std::uint64_t seed) {
+    flex::FaultPlan p = reliable_heavy_mix(seed);
+    p.bus_loss = 0.35;
+    return p;
+  };
+  const std::uint64_t seeds[] = {1, 42, 31337};
+  const Pin retries_pins[] = {
+      {30, 7378682117281377911ULL, {453403, 25690902}},
+      {36, 13164078861648464614ULL, {601514, 20603377}},
+      {46, 15584633755020176966ULL, {601514, 20602726, 20602943}}};
+  const Pin deadline_pins[] = {
+      {57, 16950231680985262675ULL, {14023039}},
+      {65, 13496955330510716893ULL, {6788736}},
+      {82, 11230870544669611093ULL, {1201514, 25531995}}};
+  for (const sim::Backend backend : {sim::Backend::fibers, sim::Backend::threads}) {
+    for (std::size_t i = 0; i < std::size(seeds); ++i) {
+      for (const bool by_deadline : {false, true}) {
+        SCOPED_TRACE("seed=" + std::to_string(seeds[i]) + " backend=" +
+                     std::to_string(static_cast<int>(backend)) +
+                     (by_deadline ? " deadline" : " retries"));
+        LineHash sink;
+        std::vector<sim::Tick> send_fails;
+        const ReliableRunResult r = run_reliable(
+            lossy(seeds[i]), by_deadline ? deadline : retries, backend,
+            [&](Runtime& rt) {
+              for (const trace::EventKind k :
+                   {trace::EventKind::retransmit, trace::EventKind::ack,
+                    trace::EventKind::dup_drop, trace::EventKind::fault}) {
+                rt.tracer().set_kind(k, true);
+              }
+              rt.tracer().add_sink(&sink);
+              rt.set_send_fail_hook([&send_fails, &rt](const Runtime::SendFailInfo&) {
+                send_fails.push_back(rt.engine().now());
+              });
+            });
+        const Pin& want = by_deadline ? deadline_pins[i] : retries_pins[i];
+        EXPECT_EQ(sink.lines(), want.lines);
+        EXPECT_EQ(sink.hash(), want.hash);
+        EXPECT_EQ(send_fails, want.send_fails);
+        EXPECT_EQ(r.send_failures, send_fails.size());
+        EXPECT_EQ(r.heap_in_use, 0u);
+      }
     }
   }
 }

@@ -739,6 +739,87 @@ TEST(Heap, SenderWokenByArrivalKeepsOneWaiterEntry) {
   EXPECT_EQ(f->message_heap().in_use(), 0u);
 }
 
+// Regression: a blocked sender woken by a message arriving for its task,
+// rather than by a release, can find space and send. It used to keep its
+// waiter entry; a later release then woke it again (spuriously) with the
+// budget that a sender which fits should have had.
+//   - A (on a PE busy with three spinners), S and D block in that order.
+//   - The sink's first accept wakes only A, the FIFO head; S gets no budget.
+//     The sink then pokes S, which runs before A reaches the CPU and takes
+//     the space. A loses the race and re-queues at the front.
+//   - The second accept wakes A again. The third frees one blob's worth: D
+//     must get it, not S's leftover entry.
+TEST(Heap, SenderWokenByArrivalLeavesNoWaiterEntry) {
+  config::Configuration cfg = config::Configuration::simple(6);
+  cfg.clusters[3].slots = kFirstUserSlot + 4;  // A and three spinners
+  cfg.message_heap_bytes = 4096;  // two blobs fit, a third does not
+  Fixture f(cfg);
+  const std::vector<double> blob(180, 0.0);  // a 1488-byte heap block
+  auto id_on = [&f](int cluster) {
+    return f->cluster(cluster).slot(kFirstUserSlot).id;
+  };
+  sim::Tick third_release = 0;
+  sim::Tick d_sent_at = 0;
+  int received = 0;
+  f->register_tasktype("sink", [&](TaskContext& ctx) {
+    auto take_blob = [&] {
+      received += ctx.accept(AcceptSpec{}.of("blob").forever()).count("blob");
+    };
+    ctx.compute(4'000'000);
+    take_blob();  // wakes A
+    ctx.send(Dest::To(id_on(5)), "poke");  // wakes S, which takes the space
+    ctx.compute(100'000);
+    take_blob();  // wakes A again
+    ctx.compute(100'000);
+    take_blob();  // must wake D
+    third_release = ctx.runtime().engine().now();
+    ctx.compute(400'000);
+    take_blob();
+    take_blob();
+  });
+  f->register_tasktype("filler", [&](TaskContext& ctx) {
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});
+  });
+  f->register_tasktype("spinner", [](TaskContext& ctx) {
+    ctx.accept(AcceptSpec{}.of("never").delay_for(1'500'000));
+    ctx.compute(10'000'000);
+  });
+  f->register_tasktype("a", [&](TaskContext& ctx) {
+    for (int i = 0; i < 3; ++i) ctx.initiate(Where::Same(), "spinner");
+    ctx.compute(1'000'000);
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});  // blocks
+  });
+  f->register_tasktype("s", [&](TaskContext& ctx) {
+    ctx.compute(2'000'000);
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});  // blocks
+    ctx.accept(AcceptSpec{}.of("never").delay_for(10'000'000));
+  });
+  f->register_tasktype("d", [&](TaskContext& ctx) {
+    ctx.compute(3'000'000);
+    ctx.send(Dest::To(id_on(2)), "blob", {Value(blob)});  // blocks
+    d_sent_at = ctx.runtime().engine().now();
+  });
+  f->register_tasktype("main", [&](TaskContext& ctx) {
+    ctx.initiate(Where::Cluster(2), "sink");
+    ctx.initiate(Where::Cluster(3), "filler");
+    ctx.initiate(Where::Cluster(4), "a");
+    ctx.initiate(Where::Cluster(5), "s");
+    ctx.initiate(Where::Cluster(6), "d");
+  });
+  f->boot();
+  f->user_initiate(1, "main");
+  f->run();
+  EXPECT_EQ(received, 5);
+  EXPECT_EQ(f->stats().heap_full_waits, 4u);  // A twice, S and D once each
+  // D fits at the third release; with S's leftover entry it waited for the
+  // next one, 400k ticks later.
+  EXPECT_GT(d_sent_at, third_release);
+  EXPECT_LT(d_sent_at, third_release + 100'000);
+  EXPECT_FALSE(f->timed_out());
+  EXPECT_EQ(f->message_heap().in_use(), 0u);
+}
+
 // Regression: broadcast iterated the live slot table while each post may
 // block on a full message heap. A slot recycled during such a block received
 // the copy meant for its predecessor — a task created mid-broadcast was hit

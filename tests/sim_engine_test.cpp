@@ -556,6 +556,82 @@ TEST_P(BackendTest, ResumeAndClosuresAtOneTickFireInPushOrder) {
   EXPECT_EQ(log, "apb");
 }
 
+// A place reserved with reserve_order() and filled later with
+// schedule_reserved() fires where schedule() at reservation time would have
+// put the event: after events queued before the reservation, before events
+// queued after it, both at a future tick and at the current tick (where the
+// later pushes take the same-tick fast path), and against a typed resume.
+TEST_P(BackendTest, ReservedPlaceFiresWhereScheduleWouldHave) {
+  auto simulate = [backend = GetParam()](bool reserve) {
+    Engine eng(backend);
+    std::string log;
+    EventSlot later{};
+    EventSlot same_tick{};
+    auto mark = [&log](char c) { return [&log, c] { log += c; }; };
+    Process& p = eng.spawn("p", [&](Process& self) {
+      self.sleep_until(20);  // queued at tick 0: before everything at 20
+      log += 'p';
+    });
+    eng.schedule(0, [&] { eng.wake(p); });
+    eng.schedule(5, [&] {
+      eng.schedule(20, mark('a'));
+      if (reserve) {
+        later = eng.reserve_order(20);
+        same_tick = eng.reserve_order(5);
+      } else {
+        eng.schedule(20, mark('R'));
+        eng.schedule(5, mark('S'));
+      }
+      eng.schedule(20, mark('b'));
+      eng.schedule(5, mark('c'));
+      if (reserve) eng.schedule_reserved(same_tick, mark('S'));  // after 'c'
+    });
+    // Filled at tick 10, by an event queued after the reservation.
+    eng.schedule(10, [&] {
+      if (reserve) eng.schedule_reserved(later, mark('R'));
+    });
+    eng.run();
+    return std::pair(log, eng.events_fired());
+  };
+  EXPECT_EQ(simulate(true).first, "ScpaRb");
+  EXPECT_EQ(simulate(true), simulate(false));
+}
+
+// A reservation never filled counts as a no-op event wherever a run stops:
+// the clock reaches the latest reserved tick before the engine goes idle, a
+// run_until limit stops it at the last reserved tick up to the limit, and
+// the places beyond the limit stay pending.
+TEST_P(BackendTest, UnfilledReservationHoldsTheEndOfARun) {
+  auto start = [](Engine& eng) {
+    eng.schedule(5, [&eng] {
+      (void)eng.reserve_order(40);
+      (void)eng.reserve_order(30);
+    });
+  };
+  Engine whole(GetParam());
+  start(whole);
+  EXPECT_EQ(whole.run(), 40);
+  EXPECT_EQ(whole.events_fired(), 1u);
+  EXPECT_EQ(whole.pending_events(), 0u);
+  EXPECT_FALSE(whole.step());
+
+  Engine cut(GetParam());
+  start(cut);
+  EXPECT_EQ(cut.run_until(35), 30);
+  EXPECT_EQ(cut.pending_events(), 1u);
+  EXPECT_EQ(cut.run_until(40), 40);
+  EXPECT_EQ(cut.pending_events(), 0u);
+
+  // A filled place is one pending event, not an event and a reservation.
+  Engine filled(GetParam());
+  filled.schedule(5, [&filled] {
+    filled.schedule_reserved(filled.reserve_order(40), [] {});
+  });
+  EXPECT_EQ(filled.run_until(35), 5);
+  EXPECT_EQ(filled.pending_events(), 1u);
+  EXPECT_EQ(filled.run(), 40);
+}
+
 TEST_P(BackendTest, StaleTypedResumeIsANoOp) {
   Engine eng(GetParam());
   int woken = 0;

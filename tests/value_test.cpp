@@ -8,6 +8,8 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
 namespace pisces::rt {
 namespace {
 
@@ -72,6 +74,55 @@ TEST(Value, DecodeRejectsTruncatedAndTrailing) {
   auto trailing = bytes;
   trailing.push_back(std::byte{0});
   EXPECT_THROW(decode_args(trailing), std::runtime_error);
+}
+
+TEST(Value, DecodeRejectsLengthPrefixBeyondPacket) {
+  // Each prefix claims 2^32 - 1 elements with no bytes behind it; the
+  // decoder must refuse before sizing anything from it.
+  const auto claim = [](std::uint8_t tag) {
+    std::vector<std::byte> in{std::byte{tag}};
+    for (int i = 0; i < 4; ++i) in.push_back(std::byte{0xFF});
+    return in;
+  };
+  for (const std::uint8_t tag : {7, 8, 9}) {  // REAL array, INTEGER array, list
+    SCOPED_TRACE("tag=" + std::to_string(tag));
+    const std::vector<std::byte> in = claim(tag);
+    std::size_t pos = 0;
+    EXPECT_THROW((void)Value::decode(in, pos), std::runtime_error);
+  }
+  const std::vector<std::byte> count(4, std::byte{0xFF});  // argument count
+  EXPECT_THROW((void)decode_args(count), std::runtime_error);
+  // A prefix that does fit still decodes.
+  const std::vector<std::byte> ok = encode_args({Value(std::vector<double>(3, 1.0))});
+  EXPECT_EQ(decode_args(ok).at(0).as_real_array().size(), 3u);
+}
+
+TEST(Value, CopiedArraysShareStorageAndCompareByContents) {
+  const Value reals(std::vector<double>(512, 1.5));
+  const Value ints(std::vector<std::int64_t>{1, 2, 3});
+  const Value reals_copy = reals;  // NOLINT(performance-unnecessary-copy-initialization)
+  const Value ints_copy = ints;    // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_EQ(&reals_copy.as_real_array(), &reals.as_real_array());
+  EXPECT_EQ(&ints_copy.as_int_array(), &ints.as_int_array());
+  // A list shares the arrays it was built from.
+  const Value list = Value::list({reals, ints});
+  EXPECT_EQ(&list.as_list().at(0).as_real_array(), &reals.as_real_array());
+  // Equal contents in separate storage are equal; different contents not.
+  const Value same(std::vector<double>(512, 1.5));
+  EXPECT_NE(&same.as_real_array(), &reals.as_real_array());
+  EXPECT_EQ(same, reals);
+  EXPECT_EQ(Value(std::vector<std::int64_t>{1, 2, 3}), ints);
+  EXPECT_FALSE(Value(std::vector<double>(512, 2.5)) == reals);
+  EXPECT_FALSE(Value(std::vector<std::int64_t>{1, 2}) == ints);
+  EXPECT_EQ(Value::list({same, Value(std::vector<std::int64_t>{1, 2, 3})}), list);
+  // Contents compare element by element even for shared storage: a NaN
+  // equals nothing, not even the copy that shares it.
+  const Value nan(std::vector<double>{std::numeric_limits<double>::quiet_NaN()});
+  const Value nan_copy = nan;  // NOLINT(performance-unnecessary-copy-initialization)
+  EXPECT_FALSE(nan_copy == nan);
+  // Sharing changes nothing in the packed form.
+  EXPECT_EQ(encode_args({reals_copy}), encode_args({same}));
+  EXPECT_EQ(reals_copy.encoded_size(), 1u + 4u + 8u * 512u);
 }
 
 TEST(Value, StrRendersReadably) {
