@@ -2,14 +2,8 @@
 // The paper defines the mechanism (Sections 6, 11) but reports no timings
 // ("No detailed timing measurements have yet been taken"); this bench takes
 // them: one-way latency vs payload, throughput vs pipeline depth, and
-// broadcast vs point-to-point cost.
-#include <benchmark/benchmark.h>
-
-#include <algorithm>
-#include <cstring>
-#include <fstream>
-#include <sstream>
-
+// broadcast vs point-to-point cost. Every number is written to
+// BENCH_messages.json (override with --json=PATH).
 #include "common.hpp"
 #include "session/supervisor.hpp"
 
@@ -19,13 +13,16 @@ using namespace pisces::bench;
 namespace {
 
 /// One-way latency: ping-pong between two tasks on different clusters,
-/// measured over many rounds (send -> accept at the peer).
-sim::Tick one_way_latency(int payload_doubles, int rounds = 32) {
-  Sim sim(config::Configuration::simple(2));
+/// measured over 32 rounds (send -> accept at the peer), with `plan` armed.
+sim::Tick one_way_latency(int payload_doubles, const flex::FaultPlan& plan = {}) {
+  constexpr int kRounds = 32;
+  config::Configuration cfg = config::Configuration::simple(2);
+  cfg.faults = plan;
+  Sim sim(cfg);
   sim::Tick total = 0;
   sim.rt().register_tasktype("echo", [&](rt::TaskContext& ctx) {
     ctx.send(rt::Dest::Parent(), "ready");
-    for (int i = 0; i < rounds; ++i) {
+    for (int i = 0; i < kRounds; ++i) {
       ctx.accept(rt::AcceptSpec{}.of("ping").forever());
       ctx.send(rt::Dest::Sender(), "pong",
                {rt::Value(std::vector<double>(
@@ -37,13 +34,13 @@ sim::Tick one_way_latency(int payload_doubles, int rounds = 32) {
     ctx.accept(rt::AcceptSpec{}.of("ready").forever());
     const rt::TaskId peer = ctx.sender();
     const sim::Tick start = sim.engine.now();
-    for (int i = 0; i < rounds; ++i) {
+    for (int i = 0; i < kRounds; ++i) {
       ctx.send(rt::Dest::To(peer), "ping",
                {rt::Value(std::vector<double>(
                    static_cast<std::size_t>(payload_doubles), 1.0))});
       ctx.accept(rt::AcceptSpec{}.of("pong").forever());
     }
-    total = (sim.engine.now() - start) / (2 * rounds);
+    total = (sim.engine.now() - start) / (2 * kRounds);
   });
   return total;
 }
@@ -77,71 +74,38 @@ double throughput(int payload_doubles, int count = 256) {
   return 1e6 * count / static_cast<double>(elapsed);
 }
 
-/// Collects the deterministic simulated-tick results so they can be written
-/// out as a trajectory point (BENCH_messages.json). All metrics here are
-/// virtual-tick quantities — identical on every run and every host — which
-/// is what makes the file meaningful to diff across commits.
-struct JsonReport {
-  std::ostringstream body;
-  bool first_section = true;
-
-  void begin_section(const std::string& name) {
-    body << (first_section ? "" : ",\n") << "    \"" << name << "\": [";
-    first_section = false;
-  }
-  void end_section() { body << "]"; }
-
-  void write(const std::string& path) const {
-    std::ofstream os(path);
-    os << "{\n"
-       << "  \"schema\": \"pisces-bench-messages-v1\",\n"
-       << "  \"units\": \"simulated ticks (deterministic)\",\n"
-       << "  \"sections\": {\n"
-       << body.str() << "\n"
-       << "  }\n"
-       << "}\n";
-    std::cout << "\nwrote " << path << "\n";
-  }
-};
-
-void latency_table(JsonReport& report) {
+void latency_table(Report& report) {
   banner("E4a: one-way message latency vs payload size");
   Table t({"payload bytes", "latency (ticks)", "ticks/KB"});
-  report.begin_section("one_way_latency");
-  bool first = true;
+  report.section("one_way_latency");
   for (int doubles : {0, 8, 64, 256, 1024, 4096}) {
     const sim::Tick lat = one_way_latency(doubles);
     const double bytes = 8.0 * doubles + rt::Message::kHeaderBytes;
     t.row(static_cast<std::int64_t>(bytes), lat,
           static_cast<std::int64_t>(1024.0 * static_cast<double>(lat) / bytes));
-    report.body << (first ? "" : ", ") << "{\"payload_bytes\": "
-                << static_cast<std::int64_t>(bytes) << ", \"ticks\": " << lat
-                << "}";
-    first = false;
+    report.row()
+        .field("payload_bytes", static_cast<std::int64_t>(bytes))
+        .field("ticks", lat);
   }
-  report.end_section();
   note("fixed software overhead dominates small messages; the bus term\n"
        "(2 ticks/word) dominates past ~1 KB — the standard latency curve.");
 }
 
-void throughput_table(JsonReport& report) {
+void throughput_table(Report& report) {
   banner("E4b: streaming throughput vs payload size");
   Table t({"payload bytes", "msgs/Mtick", "KB/Mtick"});
-  report.begin_section("streaming_throughput");
-  bool first = true;
+  report.section("streaming_throughput");
   for (int doubles : {8, 64, 256, 1024}) {
     const double mt = throughput(doubles);
     t.row(8 * doubles, static_cast<std::int64_t>(mt),
           static_cast<std::int64_t>(mt * 8.0 * doubles / 1024.0));
-    report.body << (first ? "" : ", ") << "{\"payload_bytes\": " << 8 * doubles
-                << ", \"msgs_per_mtick\": " << static_cast<std::int64_t>(mt)
-                << "}";
-    first = false;
+    report.row()
+        .field("payload_bytes", 8 * doubles)
+        .field("msgs_per_mtick", static_cast<std::int64_t>(mt));
   }
-  report.end_section();
 }
 
-void broadcast_table(JsonReport& report) {
+void broadcast_table(Report& report) {
   banner("E4c: TO ALL broadcast tree vs explicit point-to-point sends");
   // TO ALL distributes over a k-ary relay tree (fan-out from the
   // configuration, default 4): the sender posts only the first level and
@@ -149,8 +113,7 @@ void broadcast_table(JsonReport& report) {
   // last copy is *delivered* — which for the tree grows with depth
   // (log_k receivers) while the explicit send loop stays linear.
   Table t({"receivers", "broadcast ticks", "p2p ticks"});
-  report.begin_section("broadcast_vs_p2p");
-  bool first = true;
+  report.section("broadcast_vs_p2p");
   for (int receivers : {2, 4, 8, 16}) {
     sim::Tick bc_ticks = 0;
     for (int mode = 0; mode < 2; ++mode) {
@@ -185,14 +148,13 @@ void broadcast_table(JsonReport& report) {
         bc_ticks = elapsed;
       } else {
         t.row(receivers, bc_ticks, elapsed);
-        report.body << (first ? "" : ", ") << "{\"receivers\": " << receivers
-                    << ", \"broadcast_ticks\": " << bc_ticks
-                    << ", \"p2p_ticks\": " << elapsed << "}";
-        first = false;
+        report.row()
+            .field("receivers", receivers)
+            .field("broadcast_ticks", bc_ticks)
+            .field("p2p_ticks", elapsed);
       }
     }
   }
-  report.end_section();
   note("the tree's completion grows with depth (log_k receivers); the\n"
        "explicit send loop stays linear in the receiver count.");
 }
@@ -220,35 +182,31 @@ CollectiveCost force_collective_cost(int members) {
       if (fc.is_primary()) out.barrier = (sim.engine.now() - t0) / kRounds;
       fc.barrier();
       t0 = sim.engine.now();
-      double acc = 0;
       for (int r = 0; r < kRounds; ++r) {
-        acc += fc.allreduce(rt::ForceContext::ReduceOp::sum,
-                            static_cast<double>(fc.member()));
+        (void)fc.allreduce(rt::ForceContext::ReduceOp::sum,
+                           static_cast<double>(fc.member()));
       }
       if (fc.is_primary()) out.allreduce = (sim.engine.now() - t0) / kRounds;
-      benchmark::DoNotOptimize(acc);
     });
   });
   return out;
 }
 
-void collectives_table(JsonReport& report) {
+void collectives_table(Report& report) {
   banner("E4f: force barrier / allreduce cost vs member count");
   // Arrival signals ride the combining tree's locally-polled flags; only
   // the root's generation publish crosses the global bus, so the charged
   // cost per episode grows with tree depth, not the member count.
   Table t({"members", "barrier ticks", "allreduce ticks"});
-  report.begin_section("force_collectives");
-  bool first = true;
+  report.section("force_collectives");
   for (int members : {2, 4, 8, 16}) {
     const CollectiveCost c = force_collective_cost(members);
     t.row(members, c.barrier, c.allreduce);
-    report.body << (first ? "" : ", ") << "{\"members\": " << members
-                << ", \"barrier_ticks\": " << c.barrier
-                << ", \"allreduce_ticks\": " << c.allreduce << "}";
-    first = false;
+    report.row()
+        .field("members", members)
+        .field("barrier_ticks", c.barrier)
+        .field("allreduce_ticks", c.allreduce);
   }
-  report.end_section();
   note("sub-linear in members: one extra tree level per k-fold growth.");
 }
 
@@ -273,7 +231,7 @@ sim::Tick cluster_makespan(config::PlacePolicy place) {
   return elapsed;
 }
 
-void placement_table(JsonReport& report) {
+void placement_table(Report& report) {
   banner("E4d: task placement — primary vs least-loaded (3 secondaries)");
   // Under `primary` (the paper's behaviour) all eight tasks time-share the
   // primary PE; `least-loaded` spreads them over the cluster's four PEs.
@@ -283,106 +241,49 @@ void placement_table(JsonReport& report) {
   Table t({"policy", "makespan (ticks)", "speedup %"});
   t.row("primary", on_primary, 100);
   t.row("least-loaded", spread, speedup_pct);
-  report.begin_section("placement_cluster_spread");
-  report.body << "{\"policy\": \"primary\", \"makespan_ticks\": " << on_primary
-              << "}, {\"policy\": \"least-loaded\", \"makespan_ticks\": "
-              << spread << ", \"speedup_pct\": " << speedup_pct << "}";
-  report.end_section();
+  report.section("placement_cluster_spread");
+  report.row().field("policy", "primary").field("makespan_ticks", on_primary);
+  report.row()
+      .field("policy", "least-loaded")
+      .field("makespan_ticks", spread)
+      .field("speedup_pct", speedup_pct);
   note("8 tasks x 2M ticks: the primary policy serializes them on one PE;\n"
        "least-loaded uses all four PEs of the cluster.");
 }
 
-/// One-way ping-pong latency with a FaultPlan armed. Delay-only faults keep
-/// delivery guaranteed (loss would wedge the forever-accepts), so the same
-/// workload runs under every plan.
-sim::Tick faulty_latency(const flex::FaultPlan& plan, int payload_doubles,
-                         int rounds = 32) {
-  config::Configuration cfg = config::Configuration::simple(2);
-  cfg.faults = plan;
-  Sim sim(cfg);
-  sim::Tick total = 0;
-  sim.rt().register_tasktype("echo", [&](rt::TaskContext& ctx) {
-    ctx.send(rt::Dest::Parent(), "ready");
-    for (int i = 0; i < rounds; ++i) {
-      ctx.accept(rt::AcceptSpec{}.of("ping").forever());
-      ctx.send(rt::Dest::Sender(), "pong",
-               {rt::Value(std::vector<double>(
-                   static_cast<std::size_t>(payload_doubles), 1.0))});
-    }
-  });
-  run_main(sim, [&](rt::TaskContext& ctx) {
-    ctx.initiate(rt::Where::Other(), "echo");
-    ctx.accept(rt::AcceptSpec{}.of("ready").forever());
-    const rt::TaskId peer = ctx.sender();
-    const sim::Tick start = sim.engine.now();
-    for (int i = 0; i < rounds; ++i) {
-      ctx.send(rt::Dest::To(peer), "ping",
-               {rt::Value(std::vector<double>(
-                   static_cast<std::size_t>(payload_doubles), 1.0))});
-      ctx.accept(rt::AcceptSpec{}.of("pong").forever());
-    }
-    total = (sim.engine.now() - start) / (2 * rounds);
-  });
-  return total;
-}
-
-void fault_overhead_table(JsonReport& report) {
+void fault_overhead_table(Report& report) {
   banner("E4e: fault-injection overhead on message latency");
   // A dormant plan (one PE halt scheduled far past the run) arms the whole
   // injection machinery — per-transfer draws included — without firing a
   // single fault; its latency must equal the clean baseline in simulated
-  // ticks. Delay faults then show the expected degradation.
+  // ticks. Delay faults then show the expected degradation. Delay-only
+  // faults keep delivery guaranteed (loss would wedge the forever-accepts).
   const sim::Tick clean = one_way_latency(64);
   flex::FaultPlan dormant;
   dormant.pe_halts.push_back({10, 90'000'000'000});
-  const sim::Tick armed = faulty_latency(dormant, 64);
+  const sim::Tick armed = one_way_latency(64, dormant);
   flex::FaultPlan delayed = dormant;
   delayed.bus_delay_probability = 0.25;
   delayed.bus_delay_ticks = 50'000;
-  const sim::Tick degraded = faulty_latency(delayed, 64);
+  const sim::Tick degraded = one_way_latency(64, delayed);
   Table t({"mode", "latency (ticks)", "vs clean %"});
   t.row("clean", clean, 100);
   t.row("armed, dormant", armed, 100 * armed / clean);
   t.row("delay p=0.25", degraded, 100 * degraded / clean);
-  report.begin_section("fault_overhead");
-  report.body << "{\"mode\": \"clean\", \"ticks\": " << clean
-              << "}, {\"mode\": \"armed_dormant\", \"ticks\": " << armed
-              << "}, {\"mode\": \"bus_delay_p25\", \"ticks\": " << degraded
-              << "}";
-  report.end_section();
+  report.section("fault_overhead");
+  report.row().field("mode", "clean").field("ticks", clean);
+  report.row().field("mode", "armed_dormant").field("ticks", armed);
+  report.row().field("mode", "bus_delay_p25").field("ticks", degraded);
+  report.claim(armed == clean, "E4e: a dormant fault plan costs zero ticks");
   note("arming injection costs zero simulated ticks (draws are host-side);\n"
        "only injected faults change the trajectory.");
 }
-
-void BM_SendAcceptRoundTrip(benchmark::State& state) {
-  // Host-time cost of a full simulated ping-pong round (engine + runtime).
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(one_way_latency(8, 4));
-  }
-}
-BENCHMARK(BM_SendAcceptRoundTrip)->Unit(benchmark::kMillisecond);
-
-void BM_EncodeDecodeArgs(benchmark::State& state) {
-  std::vector<rt::Value> args = {
-      rt::Value(1), rt::Value(2.0),
-      rt::Value(std::vector<double>(static_cast<std::size_t>(state.range(0)), 0.0))};
-  for (auto _ : state) {
-    auto bytes = rt::encode_args(args);
-    auto back = rt::decode_args(bytes);
-    benchmark::DoNotOptimize(back);
-  }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(rt::encoded_args_size(args)));
-}
-BENCHMARK(BM_EncodeDecodeArgs)->Arg(8)->Arg(256)->Arg(4096);
-
-}  // namespace
 
 /// E4f: supervision recovery latency. A worker is killed by a PE halt at a
 /// known tick; the session-layer supervisor restarts it on the surviving
 /// cluster after its backoff. Latency = halt tick -> the tick the
 /// replacement actually resumes work, swept over backoff bases.
-void recovery_latency_table(JsonReport& report) {
+void recovery_latency_table(Report& report) {
   banner("E4f: supervision recovery latency vs backoff");
   const sim::Tick halt_at = 2'000'000;
   auto measure = [halt_at](sim::Tick backoff_base) {
@@ -404,20 +305,17 @@ void recovery_latency_table(JsonReport& report) {
     return std::pair(latency, end - halt_at);
   };
   Table t({"backoff base (ticks)", "restart latency", "halt -> all done"});
-  report.begin_section("recovery_latency");
-  bool first = true;
+  report.section("recovery_latency");
   for (const sim::Tick base :
        {sim::Tick(100'000), sim::Tick(250'000), sim::Tick(500'000),
         sim::Tick(1'000'000), sim::Tick(4'000'000)}) {
     const auto [latency, to_done] = measure(base);
     t.row(base, latency, to_done);
-    if (!first) report.body << ", ";
-    first = false;
-    report.body << "{\"backoff_base\": " << base
-                << ", \"restart_latency_ticks\": " << latency
-                << ", \"halt_to_done_ticks\": " << to_done << "}";
+    report.row()
+        .field("backoff_base", base)
+        .field("restart_latency_ticks", latency)
+        .field("halt_to_done_ticks", to_done);
   }
-  report.end_section();
   note("restart latency tracks the backoff base plus constant re-initiate\n"
        "cost; the tail is the replacement re-running its lost work.");
 }
@@ -434,7 +332,6 @@ struct ReliableRun {
   int results = 0;
   std::uint64_t retransmits = 0;
   std::uint64_t dup_drops = 0;
-  std::uint64_t send_failures = 0;
 };
 
 constexpr int kRelWorkers = 4;
@@ -485,47 +382,49 @@ ReliableRun reliable_run(double loss, double dup, bool reliable) {
   const rt::RuntimeStats& st = sim.rt().stats();
   out.retransmits = st.retransmits;
   out.dup_drops = st.dup_drops;
-  out.send_failures = st.send_failures;
   return out;
 }
 
-void reliable_table(JsonReport& report) {
+void reliable_table(Report& report) {
   banner("E4g: reliable transport — loss sweep and fault-free overhead");
   // Duplication rides at half the loss rate, mirroring the acceptance mix
   // (10% loss + 5% duplication at the sweep's top end).
   const int expected = kRelWorkers * kRelRounds;
   Table t({"loss", "mode", "delivered %", "end ticks", "retransmits",
            "dup drops"});
-  report.begin_section("reliable_transport");
-  bool first = true;
+  report.section("reliable_transport");
   sim::Tick raw_clean = 0;
   sim::Tick rel_clean = 0;
   for (double loss : {0.0, 0.01, 0.05, 0.10}) {
-    for (int mode = 0; mode < 2; ++mode) {
-      const bool reliable = mode == 1;
+    for (const bool reliable : {false, true}) {
       const ReliableRun r = reliable_run(loss, loss / 2, reliable);
       const std::int64_t delivered_pct = 100 * r.results / expected;
       if (loss == 0.0) (reliable ? rel_clean : raw_clean) = r.end;
       t.row(loss, reliable ? "reliable" : "raw", delivered_pct, r.end,
             r.retransmits, r.dup_drops);
-      report.body << (first ? "" : ", ") << "{\"loss\": " << loss
-                  << ", \"mode\": \"" << (reliable ? "reliable" : "raw")
-                  << "\", \"delivered_pct\": " << delivered_pct
-                  << ", \"end_ticks\": " << r.end
-                  << ", \"retransmits\": " << r.retransmits
-                  << ", \"dup_drops\": " << r.dup_drops << "}";
-      first = false;
+      report.row()
+          .field("loss", loss)
+          .field("mode", reliable ? "reliable" : "raw")
+          .field("delivered_pct", delivered_pct)
+          .field("end_ticks", r.end)
+          .field("retransmits", r.retransmits)
+          .field("dup_drops", r.dup_drops);
+      if (reliable) {
+        report.claim(r.results == expected,
+                     "E4g: the reliable transport delivers every result");
+      }
     }
   }
-  report.end_section();
   const double overhead_pct =
       100.0 * (static_cast<double>(rel_clean) - static_cast<double>(raw_clean)) /
       static_cast<double>(raw_clean);
-  report.begin_section("reliable_overhead");
-  report.body << "{\"raw_ticks\": " << raw_clean
-              << ", \"reliable_ticks\": " << rel_clean
-              << ", \"overhead_pct\": " << overhead_pct << "}";
-  report.end_section();
+  report.section("reliable_overhead");
+  report.row()
+      .field("raw_ticks", raw_clean)
+      .field("reliable_ticks", rel_clean)
+      .field("overhead_pct", overhead_pct);
+  report.claim(overhead_pct <= 5.0,
+               "E4g: fault-free reliable overhead is at most 5%");
   std::ostringstream o;
   o << "fault-free overhead of sequencing + acks: " << std::fixed
     << std::setprecision(2) << overhead_pct
@@ -535,21 +434,13 @@ void reliable_table(JsonReport& report) {
   note(o.str());
 }
 
+}  // namespace
+
 int main(int argc, char** argv) {
+  const std::string path = json_path(argc, argv, "BENCH_messages.json");
   std::cout << "PISCES 2 reproduction — E4: message passing (Sections 6, 11; "
                "extension measurements)\n";
-  // --json=PATH writes the deterministic tick metrics as a trajectory point
-  // (default BENCH_messages.json in the working directory).
-  std::string json_path = "BENCH_messages.json";
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--json=", 7) == 0) {
-      json_path = argv[i] + 7;
-      for (int j = i; j < argc - 1; ++j) argv[j] = argv[j + 1];
-      --argc;
-      break;
-    }
-  }
-  JsonReport report;
+  Report report("pisces-bench-messages-v1", "simulated ticks (deterministic)");
   latency_table(report);
   throughput_table(report);
   broadcast_table(report);
@@ -558,8 +449,5 @@ int main(int argc, char** argv) {
   fault_overhead_table(report);
   recovery_latency_table(report);
   reliable_table(report);
-  report.write(json_path);
-  benchmark::Initialize(&argc, argv);
-  benchmark::RunSpecifiedBenchmarks();
-  return 0;
+  return report.write(path);
 }

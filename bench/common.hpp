@@ -1,15 +1,22 @@
 #pragma once
 
-// Shared scaffolding for the reproduction benches. Every bench binary
-// prints its paper-style tables first (deterministic, simulated-tick
-// results), then runs its google-benchmark microbenchmarks (host-time
-// measurements of the same code paths).
+// Shared scaffolding for the reproduction benches. Every bench prints its
+// paper-style tables (deterministic, simulated-tick results), records the
+// same numbers in a Report, and writes the report as JSON. ctest regenerates
+// each checked-in BENCH_*.json and compares it byte for byte, so a moved
+// tick in any table fails the suite.
 
-#include <functional>
+#include <algorithm>
+#include <cmath>
+#include <cstdlib>
+#include <fstream>
 #include <iomanip>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "core/runtime.hpp"
@@ -24,8 +31,10 @@ struct Sim {
   std::unique_ptr<rt::Runtime> runtime;
 
   explicit Sim(config::Configuration cfg,
-               sim::Backend backend = sim::default_backend())
-      : engine(backend), machine(engine), system(machine) {
+               sim::Backend backend = sim::default_backend(),
+               flex::CostModel costs = {})
+      : engine(backend), machine(engine, flex::MachineSpec{}, costs),
+        system(machine) {
     cfg.time_limit = 50'000'000'000;
     runtime = std::make_unique<rt::Runtime>(system, std::move(cfg));
   }
@@ -41,6 +50,19 @@ inline sim::Tick run_main(Sim& sim, rt::TaskBody body,
   sim.rt().boot();
   sim.rt().user_initiate(1, "main", std::move(args));
   return sim.rt().run();
+}
+
+/// a / b rounded to hundredths, the precision every speedup table prints.
+inline double ratio2(sim::Tick a, sim::Tick b) {
+  return std::round(100.0 * static_cast<double>(a) / static_cast<double>(b)) /
+         100.0;
+}
+
+/// `x` with two decimals, as a table cell.
+inline std::string fixed2(double x) {
+  std::ostringstream os;
+  os << std::fixed << std::setprecision(2) << x;
+  return os.str();
 }
 
 /// Simple table printer; each column is sized to its header (min 14) and
@@ -81,5 +103,104 @@ inline void banner(const std::string& title) {
 }
 
 inline void note(const std::string& text) { std::cout << text << "\n"; }
+
+/// What a bench found: named sections of flat rows, written as one JSON
+/// file, plus the claims it checked. Every value is rendered here, so no
+/// bench formats JSON by hand:
+///
+///   report.section("one_way_latency");
+///   report.row().field("payload_bytes", 32).field("ticks", lat);
+class Report {
+ public:
+  Report(std::string schema, std::string units)
+      : schema_(std::move(schema)), units_(std::move(units)) {}
+
+  /// Start a section; the rows that follow belong to it.
+  void section(std::string name) { sections_.push_back({std::move(name), {}}); }
+
+  /// Start a row (one JSON object) in the current section.
+  Report& row() {
+    sections_.back().rows.emplace_back();
+    return *this;
+  }
+
+  /// Add a field to the current row: a string, a bool or a number (doubles
+  /// print as std::ostream does by default).
+  template <typename T>
+  Report& field(std::string_view key, const T& value) {
+    std::ostringstream os;
+    os << '"' << key << "\": ";
+    if constexpr (std::is_same_v<T, bool>) {
+      os << (value ? "true" : "false");
+    } else if constexpr (std::is_arithmetic_v<T>) {
+      os << value;
+    } else {
+      os << '"' << std::string_view(value) << '"';
+    }
+    sections_.back().rows.back().push_back(os.str());
+    return *this;
+  }
+
+  /// Check a claim the bench prints; a failed one makes write() return 1.
+  void claim(bool holds, const std::string& what) {
+    if (holds) return;
+    std::cerr << "CLAIM FAILED: " << what << "\n";
+    ++failed_claims_;
+  }
+
+  /// Write the JSON file; returns the process exit status (0 when every
+  /// claim held).
+  int write(const std::string& path) const {
+    std::ofstream os(path);
+    os << "{\n"
+       << "  \"schema\": \"" << schema_ << "\",\n"
+       << "  \"units\": \"" << units_ << "\",\n"
+       << "  \"sections\": {\n";
+    for (std::size_t s = 0; s < sections_.size(); ++s) {
+      os << (s == 0 ? "" : ",\n") << "    \"" << sections_[s].name << "\": [";
+      const auto& rows = sections_[s].rows;
+      for (std::size_t r = 0; r < rows.size(); ++r) {
+        os << (r == 0 ? "{" : ", {");
+        for (std::size_t f = 0; f < rows[r].size(); ++f) {
+          os << (f == 0 ? "" : ", ") << rows[r][f];
+        }
+        os << "}";
+      }
+      os << "]";
+    }
+    os << "\n  }\n}\n";
+    if (!os) {
+      std::cerr << "cannot write " << path << "\n";
+      return 1;
+    }
+    std::cerr << "wrote " << path << "\n";
+    return failed_claims_ == 0 ? 0 : 1;
+  }
+
+ private:
+  struct Section {
+    std::string name;
+    std::vector<std::vector<std::string>> rows;  // rendered "key": value
+  };
+
+  std::string schema_;
+  std::string units_;
+  std::vector<Section> sections_;
+  int failed_claims_ = 0;
+};
+
+/// The one flag a bench takes: --json=PATH (default `path`). Anything else
+/// is rejected.
+inline std::string json_path(int argc, char** argv, std::string path) {
+  for (int i = 1; i < argc; ++i) {
+    const std::string_view arg = argv[i];
+    if (!arg.starts_with("--json=")) {
+      std::cerr << "usage: " << argv[0] << " [--json=PATH]\n";
+      std::exit(2);
+    }
+    path = arg.substr(7);
+  }
+  return path;
+}
 
 }  // namespace pisces::bench

@@ -1,7 +1,6 @@
 #include "config/configuration.hpp"
 
 #include <algorithm>
-#include <charconv>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -9,7 +8,8 @@
 #include <set>
 #include <sstream>
 #include <stdexcept>
-#include <type_traits>
+
+#include "config/line_reader.hpp"
 
 namespace pisces::config {
 
@@ -214,76 +214,6 @@ void Configuration::save(std::ostream& os) const {
   os << "end\n";
 }
 
-namespace {
-
-/// One line of a saved configuration, read token by token. Every value must
-/// be present and well formed, and the line must be consumed in full; each
-/// violation throws std::runtime_error naming the line and the token.
-class LineReader {
- public:
-  LineReader(const std::string& line, int number) : in_(line), number_(number) {}
-
-  /// The next token, or nullopt at the end of the line.
-  std::optional<std::string> next() {
-    std::string tok;
-    if (!(in_ >> tok)) return std::nullopt;
-    last_ = tok;
-    return tok;
-  }
-  /// One value per argument for the token just read (a key such as
-  /// "reliable", or a cluster field such as "primary"). Strings take any
-  /// token; everything else must parse as a number in full.
-  template <typename... T>
-  void values(T&... out) {
-    const std::string key = last_;
-    const auto of = std::to_string(sizeof...(T));
-    int n = 0;
-    (value(key, std::to_string(++n) + " of " + of, out), ...);
-  }
-  template <typename T>
-  T number(const std::string& tok, const std::string& what) const {
-    T v{};
-    const char* end = tok.data() + tok.size();
-    const auto [stop, ec] = std::from_chars(tok.data(), end, v);
-    if (ec != std::errc{} || stop != end) {
-      fail(what + " is not a number: '" + tok + "'");
-    }
-    return v;
-  }
-  /// The rest of the line after the single space that follows the key.
-  std::string rest() {
-    std::string text;
-    std::getline(in_, text);
-    if (!text.empty() && text.front() == ' ') text.erase(0, 1);
-    return text;
-  }
-  void done() {
-    if (auto tok = next()) fail("unexpected trailing token '" + *tok + "'");
-  }
-  [[noreturn]] void fail(const std::string& what) const {
-    throw std::runtime_error("Configuration::load: line " +
-                             std::to_string(number_) + ": " + what);
-  }
-
- private:
-  template <typename T>
-  void value(const std::string& key, const std::string& which, T& out) {
-    auto tok = next();
-    if (!tok) fail("'" + key + "' is missing value " + which);
-    if constexpr (std::is_same_v<T, std::string>) {
-      out = *tok;
-    } else {
-      out = number<T>(*tok, "'" + key + "' value " + which);
-    }
-  }
-
-  std::istringstream in_;
-  int number_;
-  std::string last_;
-};
-
-}  // namespace
-
 Configuration Configuration::load(std::istream& is) {
   Configuration cfg;
   cfg.clusters.clear();
@@ -292,7 +222,8 @@ Configuration Configuration::load(std::istream& is) {
     throw std::runtime_error("Configuration::load: missing 'pisces-config v1' header");
   }
   for (int number = 2; std::getline(is, line); ++number) {
-    LineReader r(line, number);
+    LineReader r(line,
+                 "Configuration::load: line " + std::to_string(number) + ": ");
     const std::optional<std::string> key = r.next();
     if (!key) continue;
     if (*key == "name") {

@@ -26,6 +26,10 @@ namespace pisces::config {
 ///   show                         print the configuration
 ///   validate                     check against the machine
 ///   done                         finish (returns the configuration)
+/// (plus place, fanout, topology, fault, supervise and reliable). A command
+/// reads all of its arguments and the whole line before it changes
+/// anything: a malformed line prints an error and the command's usage and
+/// leaves the configuration unchanged.
 class ConfigMenu {
  public:
   explicit ConfigMenu(flex::MachineSpec spec = {}) : spec_(std::move(spec)) {}

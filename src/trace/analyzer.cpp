@@ -1,8 +1,12 @@
 #include "trace/analyzer.hpp"
 
 #include <algorithm>
+#include <array>
+#include <charconv>
 #include <istream>
 #include <sstream>
+#include <stdexcept>
+#include <string_view>
 
 namespace pisces::trace {
 
@@ -146,41 +150,90 @@ std::string Analyzer::report() const {
   return os.str();
 }
 
+namespace {
+
+/// Parse `text` in full as a number into `out`; false if it does not parse.
+template <typename T>
+bool parse_into(std::string_view text, T& out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, out);
+  return ec == std::errc{} && stop == end;
+}
+
+/// Parse a taskid as Record::format writes it: cluster:slot:unique.
+bool parse_into(std::string_view text, rt::TaskId& out) {
+  const auto a = text.find(':');
+  if (a == std::string_view::npos) return false;
+  const auto b = text.find(':', a + 1);
+  if (b == std::string_view::npos) return false;
+  return parse_into(text.substr(0, a), out.cluster) &&
+         parse_into(text.substr(a + 1, b - a - 1), out.slot) &&
+         parse_into(text.substr(b + 1), out.unique);
+}
+
+/// Split the next whitespace-delimited token off the front of `rest`.
+std::string_view next_token(std::string_view& rest) {
+  rest.remove_prefix(std::min(rest.find_first_not_of(" \t"), rest.size()));
+  const auto end = std::min(rest.find_first_of(" \t"), rest.size());
+  const std::string_view token = rest.substr(0, end);
+  rest.remove_prefix(end);
+  return token;
+}
+
+/// The key=value fields other than info; the first three are required.
+constexpr std::array<std::string_view, 5> kFields = {"t", "pe", "task", "other",
+                                                     "seq"};
+
+bool set_field(Record& r, std::size_t field, std::string_view value) {
+  switch (field) {
+    case 0: return parse_into(value, r.at);
+    case 1: return parse_into(value, r.pe);
+    case 2: return parse_into(value, r.task);
+    case 3: return parse_into(value, r.other);
+    default: return parse_into(value, r.seq);
+  }
+}
+
+}  // namespace
+
 std::vector<Record> Analyzer::parse(std::istream& is) {
   std::vector<Record> out;
   std::string line;
-  auto parse_taskid = [](const std::string& s) {
-    rt::TaskId id;
-    std::sscanf(s.c_str(), "%d:%d:%llu", &id.cluster, &id.slot,
-                reinterpret_cast<unsigned long long*>(&id.unique));
-    return id;
-  };
-  while (std::getline(is, line)) {
-    std::istringstream ls(line);
-    std::string tag, kind_str;
-    if (!(ls >> tag >> kind_str) || tag != "TRACE") continue;
+  for (int number = 1; std::getline(is, line); ++number) {
+    std::string_view rest = line;
+    if (next_token(rest) != "TRACE") continue;
+    auto fail = [number](const std::string& what, std::string_view token) {
+      throw std::runtime_error("trace::Analyzer::parse: line " +
+                               std::to_string(number) + ": " + what + " '" +
+                               std::string(token) + "'");
+    };
     Record r;
-    bool known = false;
-    for (int k = 0; k < kEventKindCount; ++k) {
-      if (kind_name(static_cast<EventKind>(k)) == kind_str) {
-        r.kind = static_cast<EventKind>(k);
-        known = true;
+    const std::string_view kind = next_token(rest);
+    int k = 0;
+    while (k < kEventKindCount && kind_name(static_cast<EventKind>(k)) != kind) ++k;
+    if (k == kEventKindCount) fail("unknown event kind", kind);
+    r.kind = static_cast<EventKind>(k);
+    std::array<bool, kFields.size()> seen{};
+    for (std::string_view token = next_token(rest); !token.empty();
+         token = next_token(rest)) {
+      const auto eq = token.find('=');
+      if (eq == std::string_view::npos) fail("field without '='", token);
+      const std::string_view key = token.substr(0, eq);
+      const std::string_view value = token.substr(eq + 1);
+      if (key == "info") {
+        // Record::format writes info last: it is the rest of the line.
+        r.info = line.substr(static_cast<std::size_t>(value.data() - line.data()));
         break;
       }
+      const auto field = static_cast<std::size_t>(
+          std::find(kFields.begin(), kFields.end(), key) - kFields.begin());
+      if (field == kFields.size()) fail("unknown field", token);
+      if (seen[field]) fail("duplicate field", token);
+      seen[field] = true;
+      if (!set_field(r, field, value)) fail("malformed value", token);
     }
-    if (!known) continue;
-    std::string field;
-    while (ls >> field) {
-      const auto eq = field.find('=');
-      if (eq == std::string::npos) continue;
-      const std::string key = field.substr(0, eq);
-      const std::string val = field.substr(eq + 1);
-      if (key == "t") r.at = std::stoll(val);
-      else if (key == "pe") r.pe = std::stoi(val);
-      else if (key == "task") r.task = parse_taskid(val);
-      else if (key == "other") r.other = parse_taskid(val);
-      else if (key == "seq") r.seq = std::stoull(val);
-      else if (key == "info") r.info = val;
+    for (std::size_t field = 0; field < 3; ++field) {
+      if (!seen[field]) fail("missing field", std::string(kFields[field]) + "=");
     }
     out.push_back(std::move(r));
   }

@@ -64,6 +64,10 @@ class Analyzer {
   [[nodiscard]] std::string report() const;
 
   /// Parse trace lines produced by Record::format (round-trips a FileSink).
+  /// Lines that do not start with TRACE are skipped. Every field must parse
+  /// in full and `info` takes the rest of its line; a malformed TRACE line
+  /// or an unknown kind throws std::runtime_error naming the line number
+  /// and the token.
   static std::vector<Record> parse(std::istream& is);
 
  private:

@@ -702,6 +702,64 @@ TEST(Menu, FaultBusRejectsProbabilitySumsAboveOne) {
   EXPECT_NE(usage.str().find("compose across retries"), std::string::npos);
 }
 
+TEST(Menu, MalformedCommandsChangeNothing) {
+  // A configuration where every knob a command can touch is set and shown,
+  // so a partial assignment is visible in `show`.
+  ConfigMenu menu;
+  std::ostringstream setup;
+  for (const char* line :
+       {"name base run", "cluster 1", "primary 1 3", "slots 1 4",
+        "secondaries 1 7-9", "place 1 least-loaded", "terminal 1",
+        "cluster 2", "primary 2 4", "timelimit 123456789", "heap 65536",
+        "fanout 5", "topology hier pes-per-cluster 8", "trace LOCK on",
+        "fault seed 7", "fault halt 4 2500000", "fault bus 0.1 0.05 0.2 40000",
+        "fault heap 1000 2000", "fault disk 0.3", "fault slow 3 10 20 1.5",
+        "fault partition 1 2 500 1500", "fault recover 4 3000000",
+        "supervise on", "supervise restarts 5",
+        "supervise backoff 1000 2.5 90000", "supervise migrate off",
+        "reliable on", "reliable retries 4", "reliable backoff 100 1.5 900",
+        "reliable ack-flush 300", "reliable deadline 9000"}) {
+    ASSERT_TRUE(menu.apply(line, setup));
+  }
+  ASSERT_EQ(setup.str(), "") << "the setup lines are all well formed";
+  EXPECT_EQ(menu.current().name, "base run");
+
+  const char* malformed[] = {
+      "name", "cluster", "cluster x", "cluster 1 2", "primary 1",
+      "primary 1 4x", "secondaries x 7", "secondaries 1 7-x",
+      "secondaries 1 9-7", "secondaries 1 7-999999999", "place 1",
+      "place 1 bogus", "place 1 primary extra", "slots 1", "slots 1 2 3",
+      "terminal", "terminal x", "terminal 2 junk", "timelimit",
+      "timelimit abc", "timelimit 5 6", "heap 4096junk", "heap -1",
+      "fanout 1", "fanout 3 4", "topology", "topology mesh",
+      "topology hier pes-per-cluster", "topology hier pes-per-cluster x",
+      "topology hier pes-per-cluster 0", "topology numa wormholes 3",
+      "trace LOCK", "trace LOCK maybe", "trace NOPE on", "trace LOCK off now",
+      "fault", "fault frob", "fault seed zz", "fault seed 8 9",
+      "fault halt 4", "fault halt 4 5 6", "fault bus 0.1 0.1 0.1",
+      "fault bus 0.5 0.4 0.3 40000", "fault bus 1.5 0 0 0",
+      "fault bus 0.1 0.1 0.1 5x", "fault heap 1", "fault disk x",
+      "fault slow 3 1 2", "fault partition 1 2 3", "fault recover 4",
+      "fault clear now", "supervise", "supervise frob", "supervise on now",
+      "supervise off now", "supervise restarts x",
+      "supervise backoff 2000 x 9", "supervise backoff 2000 2",
+      "supervise migrate maybe", "reliable", "reliable frob",
+      "reliable off now", "reliable retries -2", "reliable retries 3x",
+      "reliable backoff 0 1.5 1000", "reliable backoff 100 1.5",
+      "reliable ack-flush 0", "reliable deadline -1", "show extra",
+      "validate now", "done now"};
+  for (const char* line : malformed) {
+    std::ostringstream before;
+    std::ostringstream after;
+    std::ostringstream out;
+    menu.apply("show", before);
+    EXPECT_TRUE(menu.apply(line, out)) << line;
+    menu.apply("show", after);
+    EXPECT_EQ(after.str(), before.str()) << line;
+    EXPECT_NE(out.str().find("error: "), std::string::npos) << line << "\n" << out.str();
+  }
+}
+
 TEST(Menu, TopologyCommandSetsAndValidates) {
   ConfigMenu menu;
   std::ostringstream out;

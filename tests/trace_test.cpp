@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <utility>
 
 #include "trace/analyzer.hpp"
 
@@ -82,9 +84,16 @@ TEST(Analyzer, ParseRoundTripsFormattedLines) {
       make(EventKind::task_init, 100, rt::TaskId{1, 3, 1}),
       make(EventKind::msg_send, 150, rt::TaskId{1, 3, 1}, 7, rt::TaskId{2, 3, 2}),
       make(EventKind::msg_accept, 300, rt::TaskId{2, 3, 2}, 7),
+      make(EventKind::retransmit, 420, rt::TaskId{1, 3, 1}, 9, rt::TaskId{2, 3, 2}),
+      make(EventKind::fault, 460, rt::TaskId{0, -1, 0}),
       make(EventKind::task_term, 500, rt::TaskId{1, 3, 1}),
   };
+  records[1].info = "rows";
+  records[3].info = "unit #2";  // retransmit, slowdown and partition infos hold spaces
+  records[4].pe = 7;
+  records[4].info = "pe-slow pe 7 x1.5  until 9000 ";
   std::stringstream ss;
+  ss << "PISCES FAULT: not a trace line\n\n";
   StreamSink sink(ss);
   for (const auto& r : records) sink.emit(r);
   auto parsed = Analyzer::parse(ss);
@@ -92,8 +101,46 @@ TEST(Analyzer, ParseRoundTripsFormattedLines) {
   for (std::size_t i = 0; i < records.size(); ++i) {
     EXPECT_EQ(parsed[i].kind, records[i].kind);
     EXPECT_EQ(parsed[i].at, records[i].at);
+    EXPECT_EQ(parsed[i].pe, records[i].pe);
     EXPECT_EQ(parsed[i].task, records[i].task);
+    EXPECT_EQ(parsed[i].other, records[i].other);
     EXPECT_EQ(parsed[i].seq, records[i].seq);
+    EXPECT_EQ(parsed[i].info, records[i].info);
+    EXPECT_EQ(parsed[i].format(), records[i].format());
+  }
+}
+
+TEST(Analyzer, ParseRejectsMalformedTraceLinesWithTheirLocation) {
+  const std::pair<std::string, std::string> cases[] = {
+      {"TRACE MSG-SEND t=12x pe=3 task=1:3:1", "'t=12x'"},
+      {"TRACE MSG-SEND t=abc pe=3 task=1:3:1", "'t=abc'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=garbage", "'task=garbage'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3", "'task=1:3'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:1:4", "'task=1:3:1:4'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:-1", "'task=1:3:-1'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:1 seq=", "'seq='"},
+      {"TRACE MSG-SEND t=12 pe=3x task=1:3:1", "'pe=3x'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:1 other=2:3", "'other=2:3'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:1 stray", "'stray'"},
+      {"TRACE MSG-SEND t=12 pe=3 task=1:3:1 color=red", "'color=red'"},
+      {"TRACE MSG-SEND t=12 t=13 pe=3 task=1:3:1", "'t=13'"},
+      {"TRACE MSG-SEND t=12 pe=3", "'task='"},
+      {"TRACE MSG-SEND", "'t='"},
+      {"TRACE NO-SUCH-KIND t=12 pe=3 task=1:3:1", "'NO-SUCH-KIND'"},
+      {"TRACE", "unknown event kind ''"},
+  };
+  for (const auto& [bad, token] : cases) {
+    // A good line and a skipped one first, so the bad line is line 3.
+    std::stringstream ss("TRACE LOCK t=1 pe=3 task=1:3:1\nnot a trace line\n" + bad +
+                         "\n");
+    try {
+      Analyzer::parse(ss);
+      ADD_FAILURE() << "accepted: " << bad;
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+      EXPECT_NE(what.find(token), std::string::npos) << what;
+    }
   }
 }
 
