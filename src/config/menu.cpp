@@ -152,13 +152,9 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
       std::string setting;
       r.exactly(kind, setting);
       const bool on = on_off(r, setting);
-      int k = 0;
-      while (k < trace::kEventKindCount &&
-             trace::kind_name(static_cast<trace::EventKind>(k)) != kind) {
-        ++k;
-      }
-      if (k == trace::kEventKindCount) r.fail("unknown event kind '" + kind + "'");
-      cfg_.trace.set(static_cast<trace::EventKind>(k), on);
+      const auto known = trace::kind_from_name(kind);
+      if (!known) r.fail("unknown event kind '" + kind + "'");
+      cfg_.trace.set(*known, on);
     } else if (*cmd == "fault") {
       usage = "fault seed|halt|bus|heap|disk|slow|partition|recover|clear ...";
       std::string sub;

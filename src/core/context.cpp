@@ -4,8 +4,6 @@
 #include <stdexcept>
 
 #include "core/runtime.hpp"
-#include "fsim/file_store.hpp"
-#include "sim/backoff.hpp"
 
 namespace pisces::rt {
 
@@ -25,9 +23,7 @@ void TaskContext::initiate(Where where, std::string tasktype,
   const int target = rt_->resolve_where(where, cluster());
   proc_->compute(rt_->costs().initiate_overhead);
   ++rt_->stats_.initiates_requested;
-  rt_->transport_.post(self(), proc_, rt_->cluster(target).controller_id(),
-                       "_INITIATE",
-                       {Value(std::move(tasktype)), Value::list(std::move(args))});
+  rt_->post_initiate({std::move(tasktype), self(), std::move(args)}, proc_, target);
 }
 
 // ---- SEND ----
@@ -201,46 +197,6 @@ Message TaskContext::wait_any_message() {
   return m;
 }
 
-Message TaskContext::window_transact(
-    const TaskId& service, const std::string& op,
-    const std::function<std::vector<Value>(std::int64_t)>& make_args,
-    const std::string& what) {
-  // A fresh request id per attempt: a late reply to an abandoned attempt
-  // must never satisfy a newer one. Abandoned replies sit in the replies
-  // queue until task end, where finish_task releases their storage.
-  const int attempts =
-      rt_->faults_ != nullptr ? Runtime::kWindowRequestAttempts : 1;
-  // Patience doubles per attempt, from the ACCEPT default; the cap is never
-  // reached.
-  const sim::Backoff patience{rt_->cfg_.accept_default_timeout, 2.0};
-  auto& replies = rec_->replies;
-  for (int a = 1; a <= attempts; ++a) {
-    const auto rid = static_cast<std::int64_t>(++rt_->next_request_id_);
-    proc_->compute(rt_->costs().msg_send_overhead);
-    if (!rt_->transport_.post(self(), proc_, service, op, make_args(rid))) {
-      throw WindowError("window service unreachable for " + what);
-    }
-    const sim::Tick deadline = attempts == 1
-                                   ? sim::kForever
-                                   : rt_->engine().now() + patience.delay(a);
-    // The reply carries the request id as its first argument.
-    do {
-      auto it = std::find_if(replies.begin(), replies.end(), [rid](const Message& m) {
-        return !m.args.empty() && m.args[0].is_int() && m.args[0].as_int() == rid;
-      });
-      if (it != replies.end()) {
-        Message m = std::move(*it);
-        replies.erase(it);
-        rt_->transport_.release_accepted(*proc_, m);
-        return m;
-      }
-    } while (!proc_->block_with_timeout(deadline));
-    ++rt_->stats_.window_retries;
-  }
-  throw WindowError("no reply from window service for " + what + " after " +
-                    std::to_string(attempts) + " attempts");
-}
-
 // ---- forces ----
 
 void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
@@ -296,20 +252,11 @@ void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
 
 SharedBlock& TaskContext::shared_common(const std::string& name,
                                         std::size_t words) {
-  auto& slot = rec_->shared_blocks[name];
-  if (!slot) slot = std::make_unique<SharedBlock>(*rt_, name, words);
-  if (slot->words() != words) {
-    throw std::logic_error("SHARED COMMON /" + name + "/ redeclared with size " +
-                           std::to_string(words) + " (was " +
-                           std::to_string(slot->words()) + ")");
-  }
-  return *slot;
+  return rt_->shared_common(*rec_, name, words);
 }
 
 LockVar& TaskContext::lock_var(const std::string& name) {
-  auto& slot = rec_->locks[name];
-  if (!slot) slot = std::make_unique<LockVar>(*rt_, name);
-  return *slot;
+  return rt_->lock_var(*rec_, name);
 }
 
 // ---- windows ----
@@ -353,75 +300,6 @@ Window TaskContext::make_window(const std::string& array_name) const {
   w.array_rows = la.data.rows();
   w.array_cols = la.data.cols();
   return w;
-}
-
-Window TaskContext::file_window(int cluster_number, const std::string& file_array) {
-  Cluster& cl = rt_->cluster(cluster_number);
-  const TaskId fc = cl.slot(kFileControllerSlot).id;
-  if (!fc.valid()) {
-    throw WindowError("cluster " + std::to_string(cluster_number) +
-                      " has no file controller");
-  }
-  Message rep = window_transact(
-      fc, "_FWIN",
-      [&file_array](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(file_array)};
-      },
-      "file array '" + file_array + "'");
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
-  return rep.args.at(1).as_window();
-}
-
-Matrix TaskContext::window_read(const Window& w) {
-  if (!w.valid()) throw WindowError("reading through an invalid window");
-  if (w.owner == self()) {
-    auto it = rec_->arrays.find(w.array);
-    if (it == rec_->arrays.end()) throw WindowError("window names a dropped array");
-    proc_->compute(static_cast<sim::Tick>(w.elements()) *
-                   rt_->costs().local_access * 2);
-    return fsim::copy_rect(it->second.data, w.rect);
-  }
-  const TaskId service = w.is_file_window()
-                             ? w.owner
-                             : rt_->cluster(w.owner.cluster).controller_id();
-  Message rep = window_transact(
-      service, "_WINREAD",
-      [&w](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(w)};
-      },
-      w.owner.str());
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
-  Matrix out(w.rect.rows, w.rect.cols);
-  const auto& data = rep.args.at(1).as_real_array();
-  if (data.size() != out.size()) throw WindowError("window read size mismatch");
-  out.data() = data;
-  return out;
-}
-
-void TaskContext::window_write(const Window& w, const Matrix& data) {
-  if (!w.valid()) throw WindowError("writing through an invalid window");
-  if (data.rows() != w.rect.rows || data.cols() != w.rect.cols) {
-    throw WindowError("window write: data shape does not match the window");
-  }
-  if (w.owner == self()) {
-    auto it = rec_->arrays.find(w.array);
-    if (it == rec_->arrays.end()) throw WindowError("window names a dropped array");
-    proc_->compute(static_cast<sim::Tick>(w.elements()) *
-                   rt_->costs().local_access * 2);
-    fsim::paste_rect(it->second.data, w.rect, data);
-    return;
-  }
-  const TaskId service = w.is_file_window()
-                             ? w.owner
-                             : rt_->cluster(w.owner.cluster).controller_id();
-  Message rep = window_transact(
-      service, "_WINWRITE",
-      [&w, &data](std::int64_t rid) {
-        return std::vector<Value>{Value(rid), Value(w),
-                                  Value(std::vector<double>(data.data()))};
-      },
-      w.owner.str());
-  if (rep.type == "_WINERR") throw WindowError(rep.args.at(1).as_str());
 }
 
 }  // namespace pisces::rt

@@ -101,7 +101,8 @@ class TaskContext {
   /// `file_array` (owner will be the file controller).
   Window file_window(int cluster, const std::string& file_array);
   /// Read/write the subarray visible in a window, "by sending a message to
-  /// the owner". Local windows (owner == self) copy directly.
+  /// the owner". Local windows (owner == self) copy directly. These three
+  /// are the requesting side of the window protocol (core/windows).
   Matrix window_read(const Window& w);
   void window_write(const Window& w, const Matrix& data);
 
@@ -121,18 +122,8 @@ class TaskContext {
   Message wait_any_message();
 
  private:
-  friend class Runtime;
-
   /// Process one matched message (handler or signal); updates result.
   void consume(Message msg, AcceptResult& res);
-  /// Send one window-service request and wait for its reply. Fault-free
-  /// runs send once and wait forever (the service always answers); under
-  /// fault injection the request is retried with a doubling patience
-  /// window, then fails with a typed WindowError.
-  Message window_transact(
-      const TaskId& service, const std::string& op,
-      const std::function<std::vector<Value>(std::int64_t)>& make_args,
-      const std::string& what);
   [[nodiscard]] TaskId resolve(const Dest& dest) const;
 
   Runtime* rt_;

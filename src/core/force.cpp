@@ -9,9 +9,10 @@ namespace pisces::rt {
 
 // ---- SharedBlock ----
 
-SharedBlock::SharedBlock(Runtime& rt, std::string name, std::size_t words)
-    : rt_(&rt), name_(std::move(name)), data_(words, 0.0) {
-  auto off = rt_->common_heap_->allocate(words * 8);
+SharedBlock::SharedBlock(flex::SharedHeap& heap, std::string name,
+                         std::size_t words)
+    : heap_(&heap), name_(std::move(name)), data_(words, 0.0) {
+  auto off = heap_->allocate(words * 8);
   if (!off.has_value()) {
     throw flex::OutOfMemory("SHARED COMMON area exhausted allocating /" + name_ +
                             "/ (" + std::to_string(words * 8) + " bytes)");
@@ -19,27 +20,27 @@ SharedBlock::SharedBlock(Runtime& rt, std::string name, std::size_t words)
   heap_offset_ = *off;
 }
 
-SharedBlock::~SharedBlock() { rt_->common_heap_->release(heap_offset_); }
+SharedBlock::~SharedBlock() { heap_->release(heap_offset_); }
 
 double SharedBlock::read(mmos::Proc& p, std::size_t idx) {
-  rt_->charge_shared(p, 8);
+  p.charge_shared(8);
   return data_.at(idx);
 }
 
 void SharedBlock::write(mmos::Proc& p, std::size_t idx, double v) {
-  rt_->charge_shared(p, 8);
+  p.charge_shared(8);
   data_.at(idx) = v;
 }
 
 void SharedBlock::charge_bulk(mmos::Proc& p, std::size_t words) {
-  rt_->charge_shared(p, words * 8);
+  p.charge_shared(words * 8);
 }
 
 // ---- LockVar ----
 
 void LockVar::acquire(mmos::Proc& p, const TaskRecord& rec) {
-  p.compute(rt_->costs().lock_op);
-  rt_->charge_shared(p, 8);
+  p.compute(p.kernel().costs().lock_op);
+  p.charge_shared(8);
   if (locked_) {
     ++contended_;
     waiters_.push_back(&p);
@@ -59,8 +60,8 @@ void LockVar::release(mmos::Proc& p, const TaskRecord& rec) {
   if (owner_ != &p) {
     throw std::logic_error("LOCK " + name_ + " released by a non-owner");
   }
-  p.compute(rt_->costs().lock_op);
-  rt_->charge_shared(p, 8);
+  p.compute(p.kernel().costs().lock_op);
+  p.charge_shared(8);
   hand_off();
   rt_->trace_event(trace::EventKind::unlock, rec.id, {}, p.pe(), 0, name_);
 }
@@ -124,6 +125,18 @@ double combine(ForceContext::ReduceOp op, double a, double b) {
   }
   return a;
 }
+
+/// One collective-tree signal hop to `peer_pe`: the fixed signal cost, plus
+/// a backbone transfer of the 8-byte flag word when the peer lives in
+/// another hardware cluster (the locally-polled flag lives in the peer's
+/// cluster).
+void charge_signal(mmos::Proc& proc, int peer_pe) {
+  mmos::Kernel& kernel = proc.kernel();
+  proc.compute(kernel.costs().collective_signal);
+  if (kernel.machine().interconnect().crosses_backbone(proc.pe(), peer_pe)) {
+    proc.charge_transfer(8, proc.pe(), peer_pe);
+  }
+}
 }  // namespace
 
 double ForceContext::collective_sync(
@@ -132,7 +145,7 @@ double ForceContext::collective_sync(
   const auto n = static_cast<std::size_t>(st_->members);
   const auto k = static_cast<std::size_t>(st_->fanout < 2 ? 2 : st_->fanout);
   const auto p = static_cast<std::size_t>(member_ - 1);
-  proc_->compute(rt_->costs().barrier_op);
+  proc_->compute(proc_->kernel().costs().barrier_op);
   const std::uint64_t my_gen = st_->barrier_generation;
   if (contribute != nullptr) st_->partial[p] = *contribute;
 
@@ -174,7 +187,7 @@ double ForceContext::collective_sync(
     // released below may re-enter the next collective immediately, and its
     // first arrival signal must not be wiped by this episode's reset.
     for (auto& node : st_->nodes) node.arrived = 0;
-    rt_->charge_shared(*proc_, 8);  // generation publish: the one global bus write
+    proc_->charge_shared(8);  // generation publish: the one global bus write
     ++st_->barrier_generation;
   } else {
     // Signal the parent's locally-polled arrival counter. Wake the parent
@@ -182,7 +195,7 @@ double ForceContext::collective_sync(
     // wake a parent blocked elsewhere (e.g. inside the region body).
     const std::size_t parent = (p - 1) / k;
     mmos::Proc* pp = st_->procs[parent];
-    rt_->charge_signal(*proc_, pp != nullptr ? pp->pe() : proc_->pe());
+    charge_signal(*proc_, pp != nullptr ? pp->pe() : proc_->pe());
     ++st_->nodes[parent].arrived;
     if (st_->nodes[parent].gathering) st_->procs[parent]->wake();
     while (st_->barrier_generation == my_gen) proc_->block();
@@ -207,7 +220,7 @@ double ForceContext::collective_sync(
       for (std::size_t g = gfirst; g < gend; ++g) wave.push_back(g);
       continue;
     }
-    rt_->charge_signal(*proc_, cp->pe());
+    charge_signal(*proc_, cp->pe());
     cp->wake();
   }
   return contribute != nullptr ? st_->reduce_result : 0.0;
@@ -255,8 +268,8 @@ void ForceContext::selfsched(std::int64_t lo, std::int64_t hi, std::int64_t step
   auto& loop = st_->loop(selfsched_seq_++, lo, hi, step, m);
   while (true) {
     // Fetch-and-increment of the shared "next iteration" counter.
-    proc_->compute(rt_->costs().lock_op);
-    rt_->charge_shared(*proc_, 8);
+    proc_->compute(proc_->kernel().costs().lock_op);
+    proc_->charge_shared(8);
     const std::int64_t k = loop.next++;
     if (k >= m) break;
     body(lo + k * step);
@@ -272,20 +285,11 @@ void ForceContext::parseg(const std::vector<std::function<void()>>& segments) {
 
 SharedBlock& ForceContext::shared_common(const std::string& name,
                                          std::size_t words) {
-  auto& slot = rec_->shared_blocks[name];
-  if (!slot) slot = std::make_unique<SharedBlock>(*rt_, name, words);
-  if (slot->words() != words) {
-    throw std::logic_error("SHARED COMMON /" + name + "/ redeclared with size " +
-                           std::to_string(words) + " (was " +
-                           std::to_string(slot->words()) + ")");
-  }
-  return *slot;
+  return rt_->shared_common(*rec_, name, words);
 }
 
 LockVar& ForceContext::lock_var(const std::string& name) {
-  auto& slot = rec_->locks[name];
-  if (!slot) slot = std::make_unique<LockVar>(*rt_, name);
-  return *slot;
+  return rt_->lock_var(*rec_, name);
 }
 
 }  // namespace pisces::rt

@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "flex/shared_heap.hpp"
 #include "mmos/proc.hpp"
 #include "sim/time.hpp"
 
@@ -18,12 +19,13 @@ struct TaskRecord;
 
 /// A SHARED COMMON block (Section 7): "An ordinary Fortran COMMON block,
 /// but allocated in shared memory so that all force members see the same
-/// block." Element accesses through read/write charge shared-memory and bus
-/// costs; raw() gives unmetered access for initialization, paired with
+/// block." Its storage is allocated in the SHARED COMMON area `heap`.
+/// Element accesses through read/write charge shared-memory and bus costs;
+/// raw() gives unmetered access for initialization, paired with
 /// charge_bulk() to account a whole transfer at once.
 class SharedBlock {
  public:
-  SharedBlock(Runtime& rt, std::string name, std::size_t words);
+  SharedBlock(flex::SharedHeap& heap, std::string name, std::size_t words);
   ~SharedBlock();
   SharedBlock(const SharedBlock&) = delete;
   SharedBlock& operator=(const SharedBlock&) = delete;
@@ -42,7 +44,7 @@ class SharedBlock {
   void charge_bulk(mmos::Proc& p, std::size_t words);
 
  private:
-  Runtime* rt_;
+  flex::SharedHeap* heap_;
   std::string name_;
   std::vector<double> data_;
   std::size_t heap_offset_ = 0;
@@ -172,8 +174,6 @@ class ForceContext {
   LockVar& lock_var(const std::string& name);
 
  private:
-  friend class TaskContext;
-
   static std::int64_t iteration_count(std::int64_t lo, std::int64_t hi,
                                       std::int64_t step);
 

@@ -14,11 +14,28 @@ constexpr std::size_t kClusterTableBytes = 32;
 constexpr std::size_t kPerPeDataBytes = 2048;
 /// Default SHARED COMMON area size.
 constexpr std::size_t kCommonAreaBytes = 256 * 1024;
-}  // namespace
 
-int Cluster::free_user_slots() const {
-  return static_cast<int>(free_slots.size());
+/// The live record `id` names in `by_number`'s clusters, or null.
+TaskRecord* record_of(const std::map<int, Cluster*>& by_number, TaskId id) {
+  auto it = by_number.find(id.cluster);
+  if (it == by_number.end()) return nullptr;
+  Cluster& cl = *it->second;
+  if (id.slot < 0 || id.slot >= static_cast<int>(cl.slots.size())) return nullptr;
+  TaskRecord& rec = cl.slot(id.slot);
+  if (rec.state == TaskState::free_slot || rec.id != id) return nullptr;
+  return &rec;
 }
+
+/// The request an _INITIATE carries: (tasktype, args[, tag]). Read only
+/// here; built only by Runtime::post_initiate.
+PendingInitiate read_initiate(const Message& m) {
+  PendingInitiate req{m.args.at(0).as_str(), m.sender, m.args.at(1).as_list()};
+  if (m.args.size() > 2) {
+    req.tag = static_cast<std::uint64_t>(m.args.at(2).as_int());
+  }
+  return req;
+}
+}  // namespace
 
 const char* kill_result_name(KillResult r) {
   switch (r) {
@@ -52,7 +69,7 @@ void Runtime::attach_file_store(int cluster, fsim::FileStore store, int disk_pe)
   if (!sys_->machine().has_disk(disk_pe)) {
     throw std::invalid_argument("PE " + std::to_string(disk_pe) + " has no disk");
   }
-  pending_file_stores_.emplace_back(cluster, std::move(store), disk_pe);
+  windows_.attach(cluster, std::move(store), disk_pe);
 }
 
 void Runtime::boot() {
@@ -120,16 +137,12 @@ void Runtime::boot() {
     clusters_.push_back(std::move(cl));
   }
 
-  for (auto& [number, store, disk_pe] : pending_file_stores_) {
-    auto it = by_number_.find(number);
-    if (it == by_number_.end()) {
+  for (const auto& [number, files] : windows_.file_stores()) {
+    if (by_number_.count(number) == 0) {
       throw std::invalid_argument("file store attached to unknown cluster " +
                                   std::to_string(number));
     }
-    it->second->files = std::move(store);
-    it->second->disk_pe = disk_pe;
   }
-  pending_file_stores_.clear();
 
   for (auto& cl : clusters_) start_controllers(*cl);
 
@@ -144,6 +157,7 @@ void Runtime::arm_faults() {
   if (!cfg_.faults.any()) return;
   faults_ = std::make_unique<flex::FaultInjector>(cfg_.faults);
   sys_->machine().set_fault_injector(faults_.get());
+  windows_.set_fault_injector(faults_.get());
   // Under hier/numa, a partition between two *configured* clusters becomes a
   // window on the backbone link joining their hardware clusters (located by
   // each cluster's primary PE). A pair that shares a hardware cluster has no
@@ -168,48 +182,39 @@ void Runtime::arm_faults() {
   for (const auto& h : cfg_.faults.pe_halts) {
     eng.schedule(std::max(h.at, now), [this, pe = h.pe] { on_pe_halt(pe); });
   }
+  // One edge of a fault window: set the heap outage flag when `outage` is
+  // given, trace the edge, and print `banner` on the console when given.
+  auto announce = [this, &eng, now](sim::Tick at, int pe, std::string info,
+                                    std::string banner = {},
+                                    std::optional<bool> outage = {}) {
+    eng.schedule(std::max(at, now), [this, pe, info = std::move(info),
+                                     banner = std::move(banner), outage] {
+      if (outage.has_value()) msg_heap_->set_outage(*outage);
+      trace_event(trace::EventKind::fault, {}, {}, pe, 0, info);
+      if (!banner.empty()) console().write_line(sys_->engine().now(), banner);
+    });
+  };
+  // Senders backing off against a heap outage re-check on their timeout;
+  // its end wakes nobody.
   for (const auto& w : cfg_.faults.heap_outages) {
-    eng.schedule(std::max(w.from, now), [this] {
-      msg_heap_->set_outage(true);
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0, "heap-outage-begin");
-    });
-    eng.schedule(std::max(w.until, now), [this] {
-      msg_heap_->set_outage(false);
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0, "heap-outage-end");
-      // Senders backing off against the outage re-check on their timeout;
-      // nothing to wake explicitly.
-    });
+    announce(w.from, 0, "heap-outage-begin", {}, true);
+    announce(w.until, 0, "heap-outage-end", {}, false);
   }
-  // The slowdown factor itself is sampled by Proc::compute straight from the
-  // injector; these events only make the window visible in the trace.
+  // Proc::compute samples the slowdown factor and the transport consults
+  // partitions per transfer, straight from the injector; these events only
+  // make the windows visible.
   for (const auto& s : cfg_.faults.pe_slowdowns) {
-    eng.schedule(std::max(s.from, now), [this, s] {
-      trace_event(trace::EventKind::fault, {}, {}, s.pe, 0,
-                  "pe-slow-begin x" + std::to_string(s.factor));
-      console().write_line(sys_->engine().now(),
-                           "PISCES FAULT: PE " + std::to_string(s.pe) +
-                               " CLOCK DEGRADED");
-    });
-    eng.schedule(std::max(s.until, now), [this, pe = s.pe] {
-      trace_event(trace::EventKind::fault, {}, {}, pe, 0, "pe-slow-end");
-    });
+    announce(s.from, s.pe, "pe-slow-begin x" + std::to_string(s.factor),
+             "PISCES FAULT: PE " + std::to_string(s.pe) + " CLOCK DEGRADED");
+    announce(s.until, s.pe, "pe-slow-end");
   }
-  // Likewise partitions: the transport consults the injector per transfer.
   for (const auto& p : cfg_.faults.bus_partitions) {
-    eng.schedule(std::max(p.from, now), [this, p] {
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0,
-                  "bus-partition-begin " + std::to_string(p.cluster_a) + "|" +
-                      std::to_string(p.cluster_b));
-      console().write_line(sys_->engine().now(),
-                           "PISCES FAULT: CLUSTERS " +
-                               std::to_string(p.cluster_a) + " AND " +
-                               std::to_string(p.cluster_b) + " PARTITIONED");
-    });
-    eng.schedule(std::max(p.until, now), [this, p] {
-      trace_event(trace::EventKind::fault, {}, {}, 0, 0,
-                  "bus-partition-end " + std::to_string(p.cluster_a) + "|" +
-                      std::to_string(p.cluster_b));
-    });
+    const std::string pair =
+        std::to_string(p.cluster_a) + "|" + std::to_string(p.cluster_b);
+    announce(p.from, 0, "bus-partition-begin " + pair,
+             "PISCES FAULT: CLUSTERS " + std::to_string(p.cluster_a) + " AND " +
+                 std::to_string(p.cluster_b) + " PARTITIONED");
+    announce(p.until, 0, "bus-partition-end " + pair);
   }
   for (const auto& r : cfg_.faults.pe_recoveries) {
     eng.schedule(std::max(r.at, now), [this, pe = r.pe] { on_pe_recover(pe); });
@@ -236,10 +241,8 @@ void Runtime::on_pe_halt(int pe) {
           trace_event(trace::EventKind::supervision, dead_ctl, req.parent, pe,
                       0, "migrate-initiate " + req.tasktype + " cluster=" +
                              std::to_string(target));
-          if (transport_.post(req.parent, nullptr,
-                              by_number_[target]->controller_id(), "_INITIATE",
-                              {Value(req.tasktype), Value::list(std::move(req.args)),
-                               Value(static_cast<std::int64_t>(req.tag))})) {
+          req.tag = req.tag.value_or(0);  // a migrated request always carries one
+          if (post_initiate(std::move(req), nullptr, target)) {
             ++stats_.initiates_migrated;
           }
           // A false post already dead-lettered itself (heap denial).
@@ -295,9 +298,7 @@ void Runtime::reclaim_controllers(Cluster& cl, int pe) {
         trace_event(trace::EventKind::supervision, rec.id, m.sender, pe, m.seq,
                     "migrate-message _INITIATE cluster=" +
                         std::to_string(target));
-        if (transport_.post(m.sender, nullptr,
-                            by_number_[target]->controller_id(), "_INITIATE",
-                            m.args)) {
+        if (post_initiate(read_initiate(m), nullptr, target)) {
           ++stats_.messages_migrated;
         }
       } else {
@@ -380,13 +381,9 @@ void Runtime::start_controllers(Cluster& cl) {
   if (cl.cfg.has_terminal) {
     make_controller(kUserControllerSlot, "_UCONTR", &Runtime::user_controller_body);
   }
-  if (cl.files.has_value()) {
+  if (windows_.file_stores().count(cl.cfg.number) != 0) {
     make_controller(kFileControllerSlot, "_FCONTR", &Runtime::file_controller_body);
   }
-}
-
-int Runtime::find_free_slot(Cluster& cl) const {
-  return cl.free_slots.empty() ? -1 : *cl.free_slots.begin();
 }
 
 int Runtime::place_task_pe(Cluster& cl) {
@@ -431,23 +428,13 @@ int Runtime::place_task_pe(Cluster& cl) {
   return cl.cfg.primary_pe;
 }
 
-Matrix* Runtime::live_window_array(const Window& w) {
-  TaskRecord* owner = live_record(w.owner);
-  if (owner == nullptr) return nullptr;
-  auto it = owner->arrays.find(w.array);
-  if (it == owner->arrays.end()) return nullptr;
-  return &it->second.data;
-}
-
 void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
   while (true) {
     // Drain held initiate requests into freed slots first.
-    while (!cl.pending.empty()) {
-      const int s = find_free_slot(cl);
-      if (s < 0) break;
+    while (!cl.pending.empty() && !cl.free_slots.empty()) {
       PendingInitiate req = std::move(cl.pending.front());
       cl.pending.pop_front();
-      start_task(cl, ctx, s, std::move(req));
+      start_task(cl, ctx, *cl.free_slots.begin(), std::move(req));
     }
     if (ctx.record().in_queue.empty()) {
       ctx.proc().block();
@@ -455,27 +442,20 @@ void Runtime::task_controller_body(Cluster& cl, TaskContext& ctx) {
     }
     Message m = ctx.wait_any_message();
     if (m.type == "_INITIATE") {
-      PendingInitiate req{m.args.at(0).as_str(), m.sender, m.args.at(1).as_list()};
-      if (m.args.size() > 2) {
-        req.tag = static_cast<std::uint64_t>(m.args.at(2).as_int());
-      }
-      handle_initiate(cl, ctx, std::move(req));
-    } else if (m.type == "_WINREAD" || m.type == "_WINWRITE") {
-      serve_window(cl, ctx, m);
-    } else {
+      handle_initiate(cl, ctx, read_initiate(m));
+    } else if (!windows_.serve(ctx, m)) {
       ++stats_.controller_unknown_messages;
     }
   }
 }
 
 void Runtime::handle_initiate(Cluster& cl, TaskContext& ctl, PendingInitiate req) {
-  const int s = find_free_slot(cl);
-  if (s < 0) {
+  if (cl.free_slots.empty()) {
     cl.pending.push_back(std::move(req));
     ++stats_.initiates_held;
     return;
   }
-  start_task(cl, ctl, s, std::move(req));
+  start_task(cl, ctl, *cl.free_slots.begin(), std::move(req));
 }
 
 void Runtime::start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiate req) {
@@ -511,7 +491,7 @@ void Runtime::start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiat
   proc.on_exit([this, &cl, slot, id] { finish_task(cl, slot, id); });
   trace_event(trace::EventKind::task_init, id, req.parent, pe, 0, req.tasktype);
   if (task_start_hook_) {
-    task_start_hook_({id, req.parent, req.tasktype, req.tag, pe});
+    task_start_hook_({id, req.parent, req.tasktype, req.tag.value_or(0), pe});
   }
 }
 
@@ -558,7 +538,7 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
     // sweeps are same-tick) would queue the message into a record about to
     // be scrubbed; that must be a dead letter, exactly once, not a
     // phantom delivery.
-    TaskRecord* prec = live_record(parent);
+    TaskRecord* prec = find_record(parent);
     const bool parent_viable = prec != nullptr && prec->proc != nullptr &&
                                !prec->proc->finished() &&
                                !prec->proc->was_killed() &&
@@ -578,8 +558,7 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   if (auto* ctl = cl.slot(kTaskControllerSlot).proc) ctl->wake();
 }
 
-void Runtime::user_controller_body(Cluster& cl, TaskContext& ctx) {
-  (void)cl;
+void Runtime::user_controller_body(Cluster& /*cl*/, TaskContext& ctx) {
   while (true) {
     Message m = ctx.wait_any_message();
     std::string text;
@@ -601,236 +580,11 @@ void Runtime::user_controller_body(Cluster& cl, TaskContext& ctx) {
   }
 }
 
-void Runtime::file_controller_body(Cluster& cl, TaskContext& ctx) {
+void Runtime::file_controller_body(Cluster& /*cl*/, TaskContext& ctx) {
   while (true) {
-    Message m = ctx.wait_any_message();
-    if (m.type == "_FWIN" || m.type == "_WINREAD" || m.type == "_WINWRITE") {
-      serve_file_window(cl, ctx, m);
-    } else {
+    if (!windows_.serve(ctx, ctx.wait_any_message())) {
       ++stats_.controller_unknown_messages;
     }
-  }
-}
-
-// ---- window service ----
-
-void Runtime::serve_window(Cluster& cl, TaskContext& ctl, const Message& m) {
-  const TaskId requester = m.sender;
-  const auto rid = m.args.at(0).as_int();
-  const Window w = m.args.at(1).as_window();
-  auto fail = [&](const std::string& reason) {
-    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINERR",
-                    {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
-  };
-  TaskRecord* owner = live_record(w.owner);
-  if (owner == nullptr) {
-    fail("window owner " + w.owner.str() + " is not running");
-    return;
-  }
-  {
-    auto it = owner->arrays.find(w.array);
-    if (it == owner->arrays.end()) {
-      fail("owner has no array id " + std::to_string(w.array));
-      return;
-    }
-    const Matrix& arr = it->second.data;
-    if (!w.rect.valid() || w.rect.row0 + w.rect.rows > arr.rows() ||
-        w.rect.col0 + w.rect.cols > arr.cols()) {
-      fail("window " + w.rect.str() + " outside array");
-      return;
-    }
-  }
-  // Validate everything before charging: a rejected request must not be
-  // billed for a copy that never happens. The charge blocks the controller,
-  // so the array must be re-resolved afterwards — the owner may be killed
-  // while the copy is in flight, destroying the storage the window names.
-  // When the owner's task was placed on another PE, the controller pulls
-  // the window across the bus instead of out of its own local memory.
-  const bool cross_pe = owner->pe != ctl.proc().pe();
-  const int owner_pe = owner->pe;
-  auto charge_copy = [&] {
-    if (cross_pe) {
-      charge_transfer(ctl.proc(), w.bytes(), owner_pe, ctl.proc().pe());
-    } else {
-      ctl.proc().compute(static_cast<sim::Tick>(w.elements()) *
-                         costs().local_access);
-    }
-  };
-  if (m.type == "_WINREAD") {
-    charge_copy();
-    Matrix* arr = live_window_array(w);
-    if (arr == nullptr) {
-      fail("window owner " + w.owner.str() + " died during the transfer");
-      return;
-    }
-    Matrix part = fsim::copy_rect(*arr, w.rect);
-    ++stats_.window_reads;
-    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINDATA",
-                    {Value(rid), Value(std::move(part.data()))},
-                    /*to_reply_queue=*/true);
-  } else {
-    const auto& data = m.args.at(2).as_real_array();
-    if (data.size() != w.elements()) {
-      fail("write data size mismatch");
-      return;
-    }
-    charge_copy();
-    Matrix* arr = live_window_array(w);
-    if (arr == nullptr) {
-      fail("window owner " + w.owner.str() + " died during the transfer");
-      return;
-    }
-    Matrix part(w.rect.rows, w.rect.cols);
-    part.data() = data;
-    fsim::paste_rect(*arr, w.rect, part);
-    ++stats_.window_writes;
-    transport_.post(cl.controller_id(), &ctl.proc(), requester, "_WINACK",
-                    {Value(rid)}, /*to_reply_queue=*/true);
-  }
-}
-
-void Runtime::serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m) {
-  const TaskId requester = m.sender;
-  const auto rid = m.args.at(0).as_int();
-  const TaskId fc_id = cl.slot(kFileControllerSlot).id;
-  auto fail = [&](const std::string& reason) {
-    transport_.post(fc_id, &ctl.proc(), requester, "_WINERR",
-                    {Value(rid), Value(reason)}, /*to_reply_queue=*/true);
-  };
-  if (!cl.files.has_value()) {
-    fail("cluster has no file system");
-    return;
-  }
-
-  if (m.type == "_FWIN") {
-    const std::string& name = m.args.at(1).as_str();
-    if (!cl.files->exists(name)) {
-      fail("no file array '" + name + "'");
-      return;
-    }
-    auto [it, inserted] = cl.file_array_ids.try_emplace(name, cl.next_file_array_id);
-    if (inserted) {
-      cl.file_array_names[cl.next_file_array_id] = name;
-      ++cl.next_file_array_id;
-    }
-    const Matrix& arr = cl.files->get(name);
-    Window w;
-    w.owner = fc_id;
-    w.array = it->second;
-    w.rect = Rect{0, 0, arr.rows(), arr.cols()};
-    w.array_rows = arr.rows();
-    w.array_cols = arr.cols();
-    transport_.post(fc_id, &ctl.proc(), requester, "_FWINDATA",
-                    {Value(rid), Value(w)}, /*to_reply_queue=*/true);
-    return;
-  }
-
-  const Window w = m.args.at(1).as_window();
-  auto name_it = cl.file_array_names.find(w.array);
-  if (name_it == cl.file_array_names.end()) {
-    fail("unknown file array id " + std::to_string(w.array));
-    return;
-  }
-  const std::string name = name_it->second;
-  Matrix& arr = cl.files->get(name);
-  if (!w.rect.valid() || w.rect.row0 + w.rect.rows > arr.rows() ||
-      w.rect.col0 + w.rect.cols > arr.cols()) {
-    fail("window " + w.rect.str() + " outside file array");
-    return;
-  }
-  const bool is_write = m.type == "_WINWRITE";
-  std::vector<double> write_data;
-  if (is_write) {
-    write_data = m.args.at(2).as_real_array();
-    if (write_data.size() != w.elements()) {
-      fail("write data size mismatch");
-      return;
-    }
-  }
-
-  // Overlap-aware scheduling: conflicting operations wait; disjoint ones
-  // pipeline through the disk. The controller does not block — the data
-  // movement and the reply happen at the operation's completion tick.
-  auto& sched = cl.file_schedulers[w.array];
-  auto& disk = sys_->machine().disk(cl.disk_pe);
-  const sim::Tick now = sys_->engine().now();
-  const sim::Tick start = sched.earliest_start(w.rect, is_write, now);
-  sim::Tick done = disk.transfer(start, w.bytes());
-  // Fault injection: each pass over the platter may fail; a failed pass
-  // still occupied the disk, and the bounded retry re-runs the transfer.
-  bool io_failed = false;
-  if (faults_ != nullptr && faults_->plan().disk_error > 0.0) {
-    int attempts = 1;
-    while (faults_->next_disk_error()) {
-      disk.note_io_error();
-      trace_event(trace::EventKind::fault, requester, fc_id, cl.disk_pe, 0,
-                  "disk-error " + name);
-      if (attempts >= kDiskIoAttempts) {
-        io_failed = true;
-        break;
-      }
-      ++attempts;
-      done = disk.transfer(done, w.bytes());
-    }
-  }
-  sched.record(w.rect, is_write, now, done);
-  ctl.proc().compute(costs().msg_accept_overhead);  // request bookkeeping
-  if (io_failed) {
-    // The typed error arrives when the last failed pass completes, exactly
-    // like data would.
-    sys_->engine().schedule(done, [this, rid, requester, fc_id, name] {
-      transport_.post(fc_id, nullptr, requester, "_WINERR",
-                      {Value(rid), Value("disk I/O error on '" + name + "'")},
-                      /*to_reply_queue=*/true);
-    });
-    return;
-  }
-
-  Cluster* clp = &cl;
-  if (is_write) {
-    sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
-                                   fc_id, data = std::move(write_data)] {
-      Matrix part(rect.rows, rect.cols);
-      part.data() = data;
-      clp->files->write_rect(name, rect, part);
-      ++stats_.window_writes;
-      transport_.post(fc_id, nullptr, requester, "_WINACK", {Value(rid)},
-                      /*to_reply_queue=*/true);
-    });
-  } else {
-    sys_->engine().schedule(done, [this, clp, name, rect = w.rect, rid, requester,
-                                   fc_id] {
-      Matrix part = clp->files->read_rect(name, rect);
-      ++stats_.window_reads;
-      transport_.post(fc_id, nullptr, requester, "_WINDATA",
-                      {Value(rid), Value(std::move(part.data()))},
-                      /*to_reply_queue=*/true);
-    });
-  }
-}
-
-// ---- interconnect billing ----
-
-void Runtime::charge_shared(mmos::Proc& proc, std::size_t bytes) {
-  const sim::Tick now = sys_->engine().now();
-  const sim::Tick done = sys_->machine().shared_transfer(now, bytes, proc.pe());
-  if (done > now) proc.compute(done - now);
-}
-
-void Runtime::charge_transfer(mmos::Proc& proc, std::size_t bytes, int from_pe,
-                              int to_pe) {
-  const sim::Tick now = sys_->engine().now();
-  const sim::Tick done =
-      sys_->machine().message_transfer(now, bytes, from_pe, to_pe);
-  if (done > now) proc.compute(done - now);
-}
-
-void Runtime::charge_signal(mmos::Proc& proc, int peer_pe) {
-  proc.compute(costs().collective_signal);
-  if (sys_->machine().interconnect().crosses_backbone(proc.pe(), peer_pe)) {
-    // The locally-polled flag lives in the peer's cluster: publishing it
-    // moves one 8-byte word across the backbone route.
-    charge_transfer(proc, 8, proc.pe(), peer_pe);
   }
 }
 
@@ -883,29 +637,15 @@ int Runtime::resolve_where(const Where& where, int my_cluster) const {
   return my_cluster;
 }
 
-TaskRecord* Runtime::live_record(TaskId id) {
-  auto it = by_number_.find(id.cluster);
-  if (it == by_number_.end()) return nullptr;
-  Cluster& cl = *it->second;
-  if (id.slot < 0 || id.slot >= static_cast<int>(cl.slots.size())) return nullptr;
-  TaskRecord& rec = cl.slot(id.slot);
-  if (rec.state == TaskState::free_slot || rec.id != id) return nullptr;
-  return &rec;
-}
-
 // ---- execution-environment operations ----
 
 void Runtime::user_initiate(int cluster, std::string tasktype,
                             std::vector<Value> args) {
   if (!booted_) throw std::logic_error("user_initiate before boot");
-  auto it = by_number_.find(cluster);
-  if (it == by_number_.end()) {
-    throw std::out_of_range("no cluster " + std::to_string(cluster));
-  }
+  // Throws std::out_of_range, counting nothing, for an unconfigured cluster.
+  post_initiate({std::move(tasktype), user_controller_id(), std::move(args)},
+                nullptr, cluster);
   ++stats_.initiates_requested;
-  transport_.post(user_controller_id(), nullptr, it->second->controller_id(),
-                  "_INITIATE",
-                  {Value(std::move(tasktype)), Value::list(std::move(args))});
 }
 
 bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
@@ -918,10 +658,18 @@ bool Runtime::supervised_initiate(std::string tasktype, TaskId parent,
     return false;
   }
   ++stats_.initiates_requested;
-  return transport_.post(parent, nullptr, by_number_[target]->controller_id(),
-                         "_INITIATE",
-                         {Value(std::move(tasktype)), Value::list(std::move(args)),
-                          Value(static_cast<std::int64_t>(tag))});
+  return post_initiate({std::move(tasktype), parent, std::move(args), tag},
+                       nullptr, target);
+}
+
+bool Runtime::post_initiate(PendingInitiate req, mmos::Proc* proc, int target) {
+  // Message bytes are billed: user and task initiates send two arguments,
+  // supervised and migrated ones add their tag as a third.
+  std::vector<Value> args{Value(std::move(req.tasktype)),
+                          Value::list(std::move(req.args))};
+  if (req.tag.has_value()) args.emplace_back(static_cast<std::int64_t>(*req.tag));
+  return transport_.post(req.parent, proc, cluster(target).controller_id(),
+                         "_INITIATE", std::move(args));
 }
 
 bool Runtime::post_system(TaskId from, TaskId to, std::string type,
@@ -935,7 +683,7 @@ bool Runtime::user_send(TaskId to, std::string type, std::vector<Value> args) {
 }
 
 KillResult Runtime::try_kill_task(TaskId id) {
-  TaskRecord* rec = live_record(id);
+  TaskRecord* rec = find_record(id);
   if (rec == nullptr || rec->proc == nullptr) return KillResult::not_found;
   if (id.slot < kFirstUserSlot) return KillResult::protected_controller;
   rec->proc->kill();
@@ -943,7 +691,7 @@ KillResult Runtime::try_kill_task(TaskId id) {
 }
 
 int Runtime::delete_messages(TaskId id, const std::string& type) {
-  TaskRecord* rec = live_record(id);
+  TaskRecord* rec = find_record(id);
   if (rec == nullptr) return 0;
   int deleted = 0;
   for (auto it = rec->in_queue.begin(); it != rec->in_queue.end();) {
@@ -988,14 +736,8 @@ std::vector<Runtime::TaskInfo> Runtime::running_tasks() const {
   for (const auto& cl : clusters_) {
     for (const auto& rec : cl->slots) {
       if (rec->state == TaskState::free_slot) continue;
-      TaskInfo info;
-      info.id = rec->id;
-      info.tasktype = rec->tasktype;
-      info.state = rec->state;
-      info.pe = rec->pe;
-      info.queue_length = rec->in_queue.size();
-      info.initiated_at = rec->initiated_at;
-      out.push_back(std::move(info));
+      out.push_back({rec->id, rec->tasktype, rec->state, rec->pe,
+                     rec->in_queue.size(), rec->initiated_at});
     }
   }
   return out;
@@ -1013,8 +755,28 @@ Cluster& Runtime::cluster(int number) {
   return const_cast<Cluster&>(std::as_const(*this).cluster(number));
 }
 
+TaskRecord* Runtime::find_record(TaskId id) { return record_of(by_number_, id); }
+
 const TaskRecord* Runtime::find_record(TaskId id) const {
-  return const_cast<Runtime*>(this)->live_record(id);
+  return record_of(by_number_, id);
+}
+
+SharedBlock& Runtime::shared_common(TaskRecord& rec, const std::string& name,
+                                    std::size_t words) {
+  auto& slot = rec.shared_blocks[name];
+  if (!slot) slot = std::make_unique<SharedBlock>(*common_heap_, name, words);
+  if (slot->words() != words) {
+    throw std::logic_error("SHARED COMMON /" + name + "/ redeclared with size " +
+                           std::to_string(words) + " (was " +
+                           std::to_string(slot->words()) + ")");
+  }
+  return *slot;
+}
+
+LockVar& Runtime::lock_var(TaskRecord& rec, const std::string& name) {
+  auto& slot = rec.locks[name];
+  if (!slot) slot = std::make_unique<LockVar>(*this, name);
+  return *slot;
 }
 
 void Runtime::trace_event(trace::EventKind kind, TaskId task, TaskId other,

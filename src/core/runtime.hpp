@@ -15,10 +15,9 @@
 #include "core/context.hpp"
 #include "core/task.hpp"
 #include "core/transport.hpp"
+#include "core/windows.hpp"
 #include "flex/fault.hpp"
 #include "flex/shared_heap.hpp"
-#include "fsim/file_store.hpp"
-#include "fsim/rw_scheduler.hpp"
 #include "mmos/system.hpp"
 #include "trace/tracer.hpp"
 
@@ -31,10 +30,11 @@ struct PendingInitiate {
   std::string tasktype;
   TaskId parent{};
   std::vector<Value> args;
-  /// Supervision correlation tag carried by restart initiates (0 = none);
-  /// handed back through the task-start hook so the session layer can link
-  /// a restarted incarnation to its lineage.
-  std::uint64_t tag = 0;
+  /// Supervision correlation tag: carried by supervised and migrated
+  /// initiates, absent on user and task initiates. Handed back through the
+  /// task-start hook (0 when absent) so the session layer can link a
+  /// restarted incarnation to its lineage.
+  std::optional<std::uint64_t> tag = std::nullopt;
 };
 
 /// One virtual-machine cluster at run time: its configuration, its slot
@@ -54,20 +54,14 @@ struct Cluster {
   /// Round-robin placement cursor over {primary} ∪ secondary_pes.
   std::size_t rr_next = 0;
 
-  // File-controller state (present when a file store is attached).
-  std::optional<fsim::FileStore> files;
-  int disk_pe = 1;
-  std::map<std::string, std::uint32_t> file_array_ids;
-  std::map<std::uint32_t, std::string> file_array_names;
-  std::map<std::uint32_t, fsim::RwScheduler> file_schedulers;
-  std::uint32_t next_file_array_id = 1;
-
   [[nodiscard]] TaskRecord& slot(int n) { return *slots[static_cast<std::size_t>(n)]; }
   [[nodiscard]] const TaskRecord& slot(int n) const {
     return *slots[static_cast<std::size_t>(n)];
   }
   [[nodiscard]] TaskId controller_id() const { return slot(kTaskControllerSlot).id; }
-  [[nodiscard]] int free_user_slots() const;
+  [[nodiscard]] int free_user_slots() const {
+    return static_cast<int>(free_slots.size());
+  }
 };
 
 /// Run-wide statistics kept by the run-time library.
@@ -123,8 +117,9 @@ enum class KillResult {
 
 /// The PISCES 2 run-time system: boots the virtual machine described by a
 /// Configuration onto the MMOS/FLEX substrate, runs the controller tasks,
-/// and implements task initiation, forces, windows and fault recovery.
-/// Message passing goes through its Transport.
+/// and implements task initiation, the task lifecycle and fault recovery.
+/// Message passing goes through its Transport, window access through its
+/// Windows.
 class Runtime {
  public:
   Runtime(mmos::System& sys, config::Configuration cfg);
@@ -169,7 +164,10 @@ class Runtime {
   /// Run the simulation to completion or to the configured time limit.
   /// Returns the final tick. Sets timed_out() if the limit was hit.
   sim::Tick run();
-  /// Run at most `dt` further ticks.
+  /// Fire every event due by `now + dt` (or by the time limit, if sooner)
+  /// and return the clock, which stays at the last event fired: a gap
+  /// between events longer than `dt` is never crossed. The execution
+  /// menu steps with it, so its actions land at event ticks.
   sim::Tick run_for(sim::Tick dt);
   [[nodiscard]] bool timed_out() const { return timed_out_; }
 
@@ -188,8 +186,11 @@ class Runtime {
   [[nodiscard]] const std::vector<std::unique_ptr<Cluster>>& clusters() const {
     return clusters_;
   }
+  /// The live task `id` names, or null when it is stale or invalid.
+  [[nodiscard]] TaskRecord* find_record(TaskId id);
   [[nodiscard]] const TaskRecord* find_record(TaskId id) const;
   [[nodiscard]] const config::Configuration& configuration() const { return cfg_; }
+  [[nodiscard]] const Windows& windows() const { return windows_; }
 
   [[nodiscard]] trace::Tracer& tracer() { return tracer_; }
   [[nodiscard]] mmos::Console& console() { return sys_->console(); }
@@ -205,6 +206,16 @@ class Runtime {
   [[nodiscard]] const flex::FaultInjector* fault_injector() const {
     return faults_.get();
   }
+  void trace_event(trace::EventKind kind, TaskId task, TaskId other, int pe,
+                   std::uint64_t seq, std::string info);
+
+  // ---- SHARED COMMON and LOCK declarations ----
+  /// The task owning `rec` declares (or finds) SHARED COMMON block `name`
+  /// in the SHARED COMMON area; its force members share the task's blocks.
+  /// Throws std::logic_error if `name` was declared with another size.
+  SharedBlock& shared_common(TaskRecord& rec, const std::string& name,
+                             std::size_t words);
+  LockVar& lock_var(TaskRecord& rec, const std::string& name);
 
   // ---- session-layer supervision surface ----
   /// Observed when a task actually starts (its slot is claimed and its
@@ -253,7 +264,6 @@ class Runtime {
   /// is re-routed to the healthiest surviving cluster instead of
   /// dead-lettered. Flipped by the session layer's Supervisor.
   void set_work_migration(bool on) { migrate_work_ = on; }
-  [[nodiscard]] bool work_migration() const { return migrate_work_; }
   /// Re-issue an initiate on behalf of the supervision layer, preserving
   /// the failed task's parent; routes to the healthiest surviving cluster.
   /// False when every cluster is dead or message storage is denied.
@@ -266,36 +276,18 @@ class Runtime {
 
  private:
   friend class TaskContext;
-  friend class ForceContext;
-  friend class SharedBlock;
-  friend class LockVar;
   friend class Transport;
 
-  // ---- internals used by TaskContext / force machinery ----
   [[nodiscard]] const flex::CostModel& costs() const {
     return sys_->machine().costs();
   }
-  /// Charge `proc` for moving `bytes` through shared memory on its own
-  /// cluster bus (latency + bus occupancy).
-  void charge_shared(mmos::Proc& proc, std::size_t bytes);
-  /// Charge `proc` for a PE-to-PE copy of `bytes` (window pulls): one
-  /// cluster-bus transfer when the PEs share a hardware cluster, a
-  /// store-and-forward route across the backbone otherwise.
-  void charge_transfer(mmos::Proc& proc, std::size_t bytes, int from_pe,
-                       int to_pe);
-  /// Charge `proc` for one collective-tree signal hop to `peer_pe`: the
-  /// fixed signal cost, plus a backbone transfer of the 8-byte flag word
-  /// when the peer lives in another hardware cluster.
-  void charge_signal(mmos::Proc& proc, int peer_pe);
-
   int resolve_where(const Where& where, int my_cluster) const;
-  [[nodiscard]] TaskRecord* live_record(TaskId id);
-  [[nodiscard]] int find_free_slot(Cluster& cl) const;
   /// Pick the PE for a new user task per the cluster's placement policy.
   [[nodiscard]] int place_task_pe(Cluster& cl);
-  /// Re-resolve a window's backing array after a blocking charge: the owner
-  /// may have been killed meanwhile, freeing the storage. Null if gone.
-  [[nodiscard]] Matrix* live_window_array(const Window& w);
+  /// Post `req` as an _INITIATE from req.parent to cluster `target`'s task
+  /// controller, billed to `proc` when a task sends it. The one place the
+  /// message is built; the task controller reads it back.
+  bool post_initiate(PendingInitiate req, mmos::Proc* proc, int target);
 
   // ---- fault injection and recovery ----
   /// Build the FaultInjector and schedule the plan's timed faults (boot).
@@ -321,10 +313,6 @@ class Runtime {
   [[nodiscard]] bool pe_usable(int pe) const {
     return faults_ == nullptr || !faults_->pe_halted(pe);
   }
-  /// Window requests re-sent before giving up, when faults are enabled.
-  static constexpr int kWindowRequestAttempts = 4;
-  /// Disk passes (1 initial + retries) before an injected error surfaces.
-  static constexpr int kDiskIoAttempts = 3;
 
   void start_controllers(Cluster& cl);
   void task_controller_body(Cluster& cl, TaskContext& ctx);
@@ -333,11 +321,6 @@ class Runtime {
   void handle_initiate(Cluster& cl, TaskContext& ctl, PendingInitiate req);
   void start_task(Cluster& cl, TaskContext& ctl, int slot, PendingInitiate req);
   void finish_task(Cluster& cl, int slot, TaskId id);
-  void serve_window(Cluster& cl, TaskContext& ctl, const Message& m);
-  void serve_file_window(Cluster& cl, TaskContext& ctl, const Message& m);
-
-  void trace_event(trace::EventKind kind, TaskId task, TaskId other, int pe,
-                   std::uint64_t seq, std::string info);
 
   mmos::System* sys_;
   config::Configuration cfg_;
@@ -356,15 +339,14 @@ class Runtime {
   /// 0 — can own the terminal.
   std::optional<int> terminal_cluster_;
   std::uint64_t next_unique_ = 0;
-  std::uint64_t next_request_id_ = 0;
-  std::vector<std::tuple<int, fsim::FileStore, int>> pending_file_stores_;
   std::unique_ptr<flex::FaultInjector> faults_;  ///< null unless cfg_.faults.any()
+  RuntimeStats stats_;
   Transport transport_{*this};
+  Windows windows_{*this, transport_, stats_};
   TaskStartHook task_start_hook_;
   TerminationHook termination_hook_;
   SendFailHook send_fail_hook_;
   bool migrate_work_ = false;
-  RuntimeStats stats_;
   bool booted_ = false;
   bool timed_out_ = false;
   sim::Tick deadline_ = 0;

@@ -122,7 +122,7 @@ bool Transport::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
                            std::to_string(it->second) + " argument(s), sent with " +
                            std::to_string(args.size()));
   }
-  if (rt_->live_record(to) == nullptr) {
+  if (rt_->find_record(to) == nullptr) {
     dead_letter(to, from, 0, 0, std::move(type));
     return false;
   }
@@ -150,7 +150,7 @@ bool Transport::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
   Route r{.to = to, .to_reply_queue = to_reply_queue};
   if (sender_proc != nullptr) {
     r.sender_pe = sender_proc->pe();
-  } else if (TaskRecord* sender = rt_->live_record(from)) {
+  } else if (TaskRecord* sender = rt_->find_record(from)) {
     r.sender_pe = sender->pe;  // proc-less sends (environment) still have a home PE
   }
   // The transfer is billed from the PE that physically re-issues it — the
@@ -159,7 +159,7 @@ bool Transport::post(TaskId from, mmos::Proc* sender_proc, TaskId to,
   // heap, so re-resolve; the copy still travels to where the task lived.
   r.bill_from = via_pe >= 0 ? via_pe : r.sender_pe;
   r.dest_pe = r.bill_from;
-  if (TaskRecord* dest = rt_->live_record(to)) r.dest_pe = dest->pe;
+  if (TaskRecord* dest = rt_->find_record(to)) r.dest_pe = dest->pe;
   return launch(std::move(msg), r, sender_proc, 0, sequenced);
 }
 
@@ -172,7 +172,7 @@ bool Transport::launch(Message msg, const Route& r, mmos::Proc* sender_proc,
   // doing so, before the copy is stamped with its send tick and sequence.
   if (sender_proc != nullptr) {
     sender_proc->compute(rt_->costs().heap_alloc);
-    rt_->charge_transfer(*sender_proc, bytes, r.bill_from, r.dest_pe);
+    sender_proc->charge_transfer(bytes, r.bill_from, r.dest_pe);
   } else {
     rt_->machine().message_transfer(eng.now(), bytes, r.bill_from, r.dest_pe);
   }
@@ -306,7 +306,7 @@ bool Transport::deliver(Message msg, TaskId to, bool to_reply_queue) {
   // Re-check liveness at delivery time: the receiver may have terminated
   // while the sender waited for heap space or the bus, or while an injected
   // delay held the message in flight.
-  TaskRecord* rec = rt_->live_record(to);
+  TaskRecord* rec = rt_->find_record(to);
   if (rec == nullptr) {
     if (msg.chan_seq != 0) ++stats.reliable_dead_letters;
     dead_letter(to, msg.sender, 0, msg.seq, msg.type);
@@ -505,7 +505,7 @@ void Transport::dispatch_broadcast_copy(
   // so the hop is billed from the relay's cluster (the origin stays the
   // traced sender).
   int relay_pe = -1;
-  if (TaskRecord* relay = rt_->live_record(plan->targets[pos - 1])) {
+  if (TaskRecord* relay = rt_->find_record(plan->targets[pos - 1])) {
     relay_pe = relay->pe;
   }
   for (std::size_t j = 0; j < k; ++j) {

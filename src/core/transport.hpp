@@ -26,8 +26,8 @@ class Runtime;
 /// sits in an in-queue" — storage in the shared message heap (senders wait
 /// FIFO while it is full), bus billing, injected bus faults, the reliable
 /// channels when `reliable on`, and the TO ALL relay tree. Task records are
-/// read through the Runtime's cluster directory and traced through its
-/// tracer; the Runtime keeps controllers, task lifecycle and fault recovery.
+/// read through Runtime::find_record and traced through its tracer; the
+/// Runtime keeps controllers, task lifecycle and fault recovery.
 class Transport {
  public:
   explicit Transport(Runtime& rt) : rt_(&rt) {}

@@ -1,8 +1,9 @@
 #include "exec/execution_env.hpp"
 
+#include <charconv>
 #include <iomanip>
-#include <optional>
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 
@@ -17,21 +18,48 @@ const char* state_name(rt::TaskState s) {
   }
   return "?";
 }
-}  // namespace
 
-bool ExecutionEnvironment::parse_taskid(const std::string& text, rt::TaskId* out) {
-  rt::TaskId id;
-  char c1 = 0;
-  char c2 = 0;
-  std::istringstream is(text);
-  unsigned long long unique = 0;
-  if (!(is >> id.cluster >> c1 >> id.slot >> c2 >> unique) || c1 != ':' || c2 != ':') {
-    return false;
-  }
-  id.unique = unique;
-  *out = id;
-  return true;
+/// Prompt for arguments and return the words of the next input line; none
+/// at the end of the input.
+std::vector<std::string> ask(std::istream& in, std::ostream& out, const char* prompt) {
+  out << prompt << std::flush;
+  std::vector<std::string> words;
+  std::string line;
+  if (!std::getline(in, line)) return words;
+  std::istringstream is(line);
+  for (std::string w; is >> w;) words.push_back(std::move(w));
+  return words;
 }
+
+/// `word` as a number in full; nullopt otherwise.
+std::optional<int> number(const std::string& word) {
+  int value = 0;
+  const char* end = word.data() + word.size();
+  const auto [stop, ec] = std::from_chars(word.data(), end, value);
+  if (ec != std::errc{} || stop != end) return std::nullopt;
+  return value;
+}
+
+/// The taskid `words` holds at `i`, when it has `min`..`max` words.
+std::optional<rt::TaskId> taskid_at(const std::vector<std::string>& words,
+                                    std::size_t i, std::size_t min, std::size_t max) {
+  if (words.size() < min || words.size() > max) return std::nullopt;
+  return trace::parse_taskid(words[i]);
+}
+
+/// The kind `name` names; nullopt once `out` has been told the names.
+std::optional<trace::EventKind> known_kind(std::ostream& out, const std::string& name) {
+  const auto kind = trace::kind_from_name(name);
+  if (!kind) {
+    out << "unknown event kind '" << name << "' (use";
+    for (int k = 0; k < trace::kEventKindCount; ++k) {
+      out << (k == 0 ? " " : ", ") << trace::kind_name(static_cast<trace::EventKind>(k));
+    }
+    out << ")\n";
+  }
+  return kind;
+}
+}  // namespace
 
 void ExecutionEnvironment::show_menu(std::ostream& out) const {
   out << "PISCES EXECUTION ENVIRONMENT  t=" << rt_->engine().now() << "\n"
@@ -63,75 +91,57 @@ void ExecutionEnvironment::repl(std::istream& in, std::ostream& out,
         out << "RUN TERMINATED at t=" << rt_->engine().now() << "\n";
         return;
       case 1: {
-        int cluster = 0;
-        std::string tasktype;
-        out << "cluster tasktype> " << std::flush;
-        if (std::getline(in, line)) {
-          std::istringstream as(line);
-          if (as >> cluster >> tasktype) initiate_task(out, cluster, tasktype);
-        }
+        const auto words = ask(in, out, "cluster tasktype> ");
+        const auto cluster = words.size() == 2 ? number(words[0]) : std::nullopt;
+        if (cluster) initiate_task(out, *cluster, words[1]);
+        else out << "bad arguments\n";
         break;
       }
       case 2: {
-        out << "taskid (c:s:u)> " << std::flush;
-        rt::TaskId id;
-        if (std::getline(in, line) && parse_taskid(line, &id)) kill_task(out, id);
-        else out << "bad taskid\n";
-        break;
-      }
-      case 3: {
-        out << "taskid type> " << std::flush;
-        if (std::getline(in, line)) {
-          std::istringstream as(line);
-          std::string id_text;
-          std::string type;
-          rt::TaskId id;
-          if (as >> id_text >> type && parse_taskid(id_text, &id)) {
-            send_message(out, id, type);
-          } else {
-            out << "bad arguments\n";
-          }
+        if (const auto id = taskid_at(ask(in, out, "taskid (c:s:u)> "), 0, 1, 1)) {
+          kill_task(out, *id);
+        } else {
+          out << "bad taskid\n";
         }
         break;
       }
+      case 3: {
+        const auto words = ask(in, out, "taskid type> ");
+        if (const auto id = taskid_at(words, 0, 2, 2)) send_message(out, *id, words[1]);
+        else out << "bad arguments\n";
+        break;
+      }
       case 4: {
-        out << "taskid [type]> " << std::flush;
-        if (std::getline(in, line)) {
-          std::istringstream as(line);
-          std::string id_text;
-          std::string type;
-          rt::TaskId id;
-          as >> id_text >> type;
-          if (parse_taskid(id_text, &id)) delete_messages(out, id, type);
-          else out << "bad taskid\n";
+        const auto words = ask(in, out, "taskid [type]> ");
+        if (const auto id = taskid_at(words, 0, 1, 2)) {
+          delete_messages(out, *id, words.size() == 2 ? words[1] : "");
+        } else {
+          out << "bad taskid\n";
         }
         break;
       }
       case 5: display_tasks(out); break;
       case 6: {
-        out << "taskid (c:s:u)> " << std::flush;
-        rt::TaskId id;
-        if (std::getline(in, line) && parse_taskid(line, &id)) display_queue(out, id);
-        else out << "bad taskid\n";
+        if (const auto id = taskid_at(ask(in, out, "taskid (c:s:u)> "), 0, 1, 1)) {
+          display_queue(out, *id);
+        } else {
+          out << "bad taskid\n";
+        }
         break;
       }
       case 7: dump_state(out); break;
       case 8: display_pe_loading(out); break;
       case 9: {
-        out << "event-kind on|off [taskid]> " << std::flush;
-        if (std::getline(in, line)) {
-          std::istringstream as(line);
-          std::string kind;
-          std::string setting;
-          std::string id_text;
-          if (as >> kind >> setting) {
-            rt::TaskId id;
-            if (as >> id_text && parse_taskid(id_text, &id)) {
-              change_trace_for_task(out, id, kind, setting == "on");
-            } else {
-              change_trace(out, kind, setting == "on");
-            }
-          }
+        const auto words = ask(in, out, "event-kind on|off [taskid]> ");
+        const auto id = taskid_at(words, 2, 3, 3);
+        if (words.size() < 2 || words.size() > 3 || (words.size() == 3 && !id)) {
+          out << "bad arguments\n";
+        } else if (words[1] != "on" && words[1] != "off") {
+          out << "error: expected on or off, got '" << words[1] << "'\n";
+        } else if (id) {
+          change_trace_for_task(out, *id, words[0], words[1] == "on");
+        } else {
+          change_trace(out, words[0], words[1] == "on");
         }
         break;
       }
@@ -262,40 +272,24 @@ void ExecutionEnvironment::display_pe_loading(std::ostream& out) const {
   }
 }
 
-namespace {
-std::optional<trace::EventKind> kind_from_name(const std::string& name) {
-  for (int k = 0; k < trace::kEventKindCount; ++k) {
-    const auto kind = static_cast<trace::EventKind>(k);
-    if (trace::kind_name(kind) == name) return kind;
-  }
-  return std::nullopt;
-}
-}  // namespace
-
 void ExecutionEnvironment::change_trace(std::ostream& out,
                                         const std::string& kind_name_str,
                                         bool on) {
-  if (auto kind = kind_from_name(kind_name_str)) {
+  if (const auto kind = known_kind(out, kind_name_str)) {
     rt_->tracer().set_kind(*kind, on);
     out << "trace " << kind_name_str << " " << (on ? "on" : "off") << "\n";
-    return;
   }
-  out << "unknown event kind '" << kind_name_str
-      << "' (use TASK-INIT, TASK-TERM, MSG-SEND, MSG-ACCEPT, LOCK, UNLOCK, "
-         "BARRIER, FORCE-SPLIT)\n";
 }
 
 void ExecutionEnvironment::change_trace_for_task(std::ostream& out,
                                                  rt::TaskId task,
                                                  const std::string& kind_name_str,
                                                  bool on) {
-  if (auto kind = kind_from_name(kind_name_str)) {
+  if (const auto kind = known_kind(out, kind_name_str)) {
     rt_->tracer().set_task(task, *kind, on);
     out << "trace " << kind_name_str << " for " << task.str() << " "
         << (on ? "on" : "off") << "\n";
-    return;
   }
-  out << "unknown event kind '" << kind_name_str << "'\n";
 }
 
 void ExecutionEnvironment::display_organization(std::ostream& out) const {
@@ -322,7 +316,10 @@ void ExecutionEnvironment::display_organization(std::ostream& out) const {
         out << rec.tasktype << " " << rec.id.str();
         if (s >= rt::kFirstUserSlot) out << " @PE" << rec.pe;
         if (s == rt::kUserControllerSlot) out << " <-- terminal";
-        if (s == rt::kFileControllerSlot) out << " <-- disk PE " << cl->disk_pe;
+        if (s == rt::kFileControllerSlot) {
+          out << " <-- disk PE "
+              << rt_->windows().file_stores().at(cl->cfg.number).disk_pe;
+        }
       }
       out << "\n";
     }

@@ -56,7 +56,6 @@ class ExecutionEnvironment {
   void display_organization(std::ostream& out) const;
 
  private:
-  static bool parse_taskid(const std::string& text, rt::TaskId* out);
   rt::Runtime* rt_;
 };
 

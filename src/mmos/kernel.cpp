@@ -154,6 +154,19 @@ void Proc::compute(sim::Tick ticks) {
   }
 }
 
+void Proc::charge_shared(std::size_t bytes) {
+  const sim::Tick now = kernel_->engine().now();
+  const sim::Tick done = kernel_->machine().shared_transfer(now, bytes, pe());
+  if (done > now) compute(done - now);
+}
+
+void Proc::charge_transfer(std::size_t bytes, int from_pe, int to_pe) {
+  const sim::Tick now = kernel_->engine().now();
+  const sim::Tick done =
+      kernel_->machine().message_transfer(now, bytes, from_pe, to_pe);
+  if (done > now) compute(done - now);
+}
+
 bool Proc::block_with_timeout(sim::Tick deadline) {
   ++block_epoch_;
   const std::uint64_t epoch = block_epoch_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -48,6 +49,14 @@ class Proc {
 
   /// Release the PE briefly so equal-priority ready processes can run.
   void yield();
+
+  /// Wait, on this PE's CPU, for a transfer of `bytes` through shared
+  /// memory on this PE's own cluster bus (latency + bus occupancy).
+  void charge_shared(std::size_t bytes);
+  /// Wait, on this PE's CPU, for a PE-to-PE copy of `bytes`: one cluster-bus
+  /// transfer when the PEs share a hardware cluster, a store-and-forward
+  /// route across the backbone otherwise.
+  void charge_transfer(std::size_t bytes, int from_pe, int to_pe);
 
   // ---- Calls valid from anywhere in the simulation ----
 

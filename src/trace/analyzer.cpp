@@ -160,7 +160,6 @@ bool parse_into(std::string_view text, T& out) {
   return ec == std::errc{} && stop == end;
 }
 
-/// Parse a taskid as Record::format writes it: cluster:slot:unique.
 bool parse_into(std::string_view text, rt::TaskId& out) {
   const auto a = text.find(':');
   if (a == std::string_view::npos) return false;
@@ -196,6 +195,12 @@ bool set_field(Record& r, std::size_t field, std::string_view value) {
 
 }  // namespace
 
+std::optional<rt::TaskId> parse_taskid(std::string_view text) {
+  rt::TaskId id;
+  if (!parse_into(text, id)) return std::nullopt;
+  return id;
+}
+
 std::vector<Record> Analyzer::parse(std::istream& is) {
   std::vector<Record> out;
   std::string line;
@@ -209,10 +214,9 @@ std::vector<Record> Analyzer::parse(std::istream& is) {
     };
     Record r;
     const std::string_view kind = next_token(rest);
-    int k = 0;
-    while (k < kEventKindCount && kind_name(static_cast<EventKind>(k)) != kind) ++k;
-    if (k == kEventKindCount) fail("unknown event kind", kind);
-    r.kind = static_cast<EventKind>(k);
+    const auto known = kind_from_name(kind);
+    if (!known) fail("unknown event kind", kind);
+    r.kind = *known;
     std::array<bool, kFields.size()> seen{};
     for (std::string_view token = next_token(rest); !token.empty();
          token = next_token(rest)) {

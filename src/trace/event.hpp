@@ -2,6 +2,7 @@
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -54,6 +55,18 @@ inline constexpr int kEventKindCount = 16;
   }
   return "?";
 }
+
+/// The kind whose kind_name is `name`; nullopt when there is none.
+[[nodiscard]] constexpr std::optional<EventKind> kind_from_name(std::string_view name) {
+  for (int k = 0; k < kEventKindCount; ++k) {
+    if (kind_name(static_cast<EventKind>(k)) == name) return static_cast<EventKind>(k);
+  }
+  return std::nullopt;
+}
+
+/// A taskid written as Record::format writes it, cluster:slot:unique, with
+/// every part a number in full; nullopt otherwise.
+[[nodiscard]] std::optional<rt::TaskId> parse_taskid(std::string_view text);
 
 /// One trace line: "Type of event. Taskid of relevant task (or tasks).
 /// Clock reading (PE number and 'ticks' count). Other relevant information."

@@ -229,8 +229,12 @@ TEST_P(ChaosSweep, InvariantsHoldAcrossFaultMixes) {
     // they queue behind earlier traffic.
     EXPECT_LE(r.bus_faulted,
               r.faults.bus_lost + r.faults.bus_duplicated + r.faults.bus_delayed);
-    if (r.faults.bus_delayed > 0) EXPECT_GT(r.bus_wait_ticks, 0);
-    if (!plan.any()) EXPECT_EQ(r.bus_faulted, 0u);
+    if (r.faults.bus_delayed > 0) {
+      EXPECT_GT(r.bus_wait_ticks, 0);
+    }
+    if (!plan.any()) {
+      EXPECT_EQ(r.bus_faulted, 0u);
+    }
     if (plan.pe_halts.empty()) {
       EXPECT_EQ(r.tasks_killed, 0u);
       EXPECT_EQ(r.faults.pe_halts, 0u);
@@ -1113,7 +1117,9 @@ TEST_P(ReliableSweep, ExactlyOnceUnderLossAndDuplication) {
     // every retransmit racing its own ack dup-drops too), and losses were
     // actually repaired by retransmission rather than never happening.
     EXPECT_GT(r.dup_drops, 0u);
-    if (r.faults.bus_lost > 0) EXPECT_GT(r.retransmits, 0u);
+    if (r.faults.bus_lost > 0) {
+      EXPECT_GT(r.retransmits, 0u);
+    }
     expect_counter_identities(r);
     // One delivery per sequenced application send.
     EXPECT_EQ(r.reliable_delivered, r.reliable_sends);

@@ -35,8 +35,8 @@ TEST(WindowValue, ShrinkIsRelativeAndBoundsChecked) {
   // Shrinking twice composes.
   Window s2 = s.shrink(Rect{1, 1, 2, 2});
   EXPECT_EQ(s2.rect, (Rect{13, 24, 2, 2}));
-  EXPECT_THROW(w.shrink(Rect{5, 5, 8, 8}), std::out_of_range);
-  EXPECT_THROW(w.shrink(Rect{0, 0, 0, 1}), std::invalid_argument);
+  EXPECT_THROW((void)w.shrink(Rect{5, 5, 8, 8}), std::out_of_range);
+  EXPECT_THROW((void)w.shrink(Rect{0, 0, 0, 1}), std::invalid_argument);
 }
 
 TEST(WindowValue, RectOverlapAndContainment) {
@@ -226,6 +226,146 @@ TEST(Window, OutOfBoundsRectRejectedByService) {
   f->user_initiate(1, "main");
   f->run();
   EXPECT_TRUE(threw);
+}
+
+// Every request the window service must refuse, sent both to a task
+// controller (an owner task's in-memory array) and to a file controller (a
+// file array on disk). Each refusal is a _WINERR carrying the store's
+// reason, leaves the array as it was, counts no window read or write, and
+// never reaches the disk.
+struct MalformedRequest {
+  const char* op;             ///< _WINREAD or _WINWRITE
+  Rect rect;                  ///< replaces the served window's rectangle
+  std::uint32_t array;        ///< replaces its array id; 0 keeps it
+  std::size_t words;          ///< _WINWRITE payload size
+  const char* memory_reason;  ///< refusal from the task controller
+  const char* file_reason;    ///< refusal from the file controller
+};
+
+const std::vector<MalformedRequest>& malformed_requests() {
+  static const std::vector<MalformedRequest> cases = {
+      {"_WINREAD", {0, 0, 5, 5}, 0, 0, "window [0:5,0:5) outside array",
+       "window [0:5,0:5) outside file array"},
+      {"_WINREAD", {1, 2, 2, 3}, 0, 0, "window [1:3,2:5) outside array",
+       "window [1:3,2:5) outside file array"},
+      {"_WINREAD", {-1, 0, 1, 1}, 0, 0, "window [-1:0,0:1) outside array",
+       "window [-1:0,0:1) outside file array"},
+      {"_WINREAD", {0, 0, 1, 1}, 99, 0, "owner has no array id 99",
+       "unknown file array id 99"},
+      {"_WINWRITE", {2, 2, 3, 3}, 0, 9, "window [2:5,2:5) outside array",
+       "window [2:5,2:5) outside file array"},
+      {"_WINWRITE", {0, 0, 0, 4}, 0, 0, "window [0:0,0:4) outside array",
+       "window [0:0,0:4) outside file array"},
+      {"_WINWRITE", {0, 0, 2, 2}, 0, 3, "write data size mismatch",
+       "write data size mismatch"},
+      {"_WINWRITE", {0, 0, 1, 1}, 99, 1, "owner has no array id 99",
+       "unknown file array id 99"},
+  };
+  return cases;
+}
+
+struct RejectionRun {
+  std::vector<std::string> replies;  ///< "<type>: <reason>" per request
+  std::uint64_t window_reads = 0;
+  std::uint64_t window_writes = 0;
+  std::uint64_t disk_transfers = 0;
+  bool array_unchanged = false;
+};
+
+Matrix numbered_4x4() {
+  Matrix m(4, 4);
+  for (int i = 0; i < 4; ++i) {
+    for (int j = 0; j < 4; ++j) m.at(i, j) = i * 10.0 + j;
+  }
+  return m;
+}
+
+/// Send every malformed request, built from `w`, to `service` from `ctx`,
+/// one at a time, and record each reply and the counters afterwards.
+void send_malformed(Fixture& f, TaskContext& ctx, TaskId service,
+                    const Window& w, RejectionRun& run) {
+  const auto& cases = malformed_requests();
+  for (std::size_t i = 0; i < cases.size(); ++i) {
+    const MalformedRequest& c = cases[i];
+    Window bad = w;
+    bad.rect = c.rect;
+    if (c.array != 0) bad.array = c.array;
+    // Negative request ids never match one the task's own window calls use.
+    std::vector<Value> args{Value(-1 - static_cast<std::int64_t>(i)), Value(bad)};
+    if (std::string(c.op) == "_WINWRITE") {
+      args.emplace_back(std::vector<double>(c.words, -7.0));
+    }
+    ctx.send(Dest::To(service), c.op, std::move(args));
+    auto& replies = ctx.record().replies;
+    while (replies.size() <= i) ctx.proc().block();
+    const Message& m = replies[i];
+    run.replies.push_back(m.type + ": " +
+                          (m.type == "_WINERR" ? m.args.at(1).as_str() : ""));
+  }
+  run.window_reads = f->stats().window_reads;
+  run.window_writes = f->stats().window_writes;
+  run.disk_transfers = f.machine.disk(1).transfers();
+}
+
+RejectionRun reject_in_memory() {
+  Fixture f;
+  RejectionRun run;
+  f->register_tasktype("owner", [&](TaskContext& ctx) {
+    ctx.local_array("A", 4, 4).data = numbered_4x4();
+    ctx.send(Dest::Parent(), "win", {Value(ctx.make_window("A"))});
+    ctx.accept(AcceptSpec{}.of("done").forever());
+    run.array_unchanged = ctx.array_data("A") == numbered_4x4();
+  });
+  f->register_tasktype("main", [&](TaskContext& ctx) {
+    Window w;
+    ctx.on_message("win", [&w](TaskContext&, const Message& m) {
+      w = m.args.at(0).as_window();
+    });
+    ctx.initiate(Where::Cluster(2), "owner");
+    ctx.accept(AcceptSpec{}.of("win").forever());
+    send_malformed(f, ctx, f->cluster(2).controller_id(), w, run);
+    ctx.send(Dest::To(w.owner), "done");
+  });
+  f->boot();
+  f->user_initiate(1, "main");
+  f->run();
+  return run;
+}
+
+RejectionRun reject_on_disk() {
+  Fixture f;
+  fsim::FileStore store;
+  store.create("F", numbered_4x4());
+  f->attach_file_store(1, std::move(store), 1);
+  RejectionRun run;
+  f->register_tasktype("main", [&](TaskContext& ctx) {
+    const Window w = ctx.file_window(1, "F");
+    send_malformed(f, ctx, w.owner, w, run);
+    run.array_unchanged = ctx.window_read(w) == numbered_4x4();
+  });
+  f->boot();
+  f->user_initiate(1, "main");
+  f->run();
+  return run;
+}
+
+TEST(Window, MalformedRequestsRejectedAlikeByBothStores) {
+  const auto& cases = malformed_requests();
+  for (const bool on_disk : {false, true}) {
+    SCOPED_TRACE(on_disk ? "file controller" : "task controller");
+    const RejectionRun run = on_disk ? reject_on_disk() : reject_in_memory();
+    ASSERT_EQ(run.replies.size(), cases.size());
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+      EXPECT_EQ(run.replies[i],
+                std::string("_WINERR: ") +
+                    (on_disk ? cases[i].file_reason : cases[i].memory_reason))
+          << "request " << i << " (" << cases[i].op << ")";
+    }
+    EXPECT_EQ(run.window_reads, 0u);
+    EXPECT_EQ(run.window_writes, 0u);
+    EXPECT_EQ(run.disk_transfers, 0u);
+    EXPECT_TRUE(run.array_unchanged);
+  }
 }
 
 // ---- file windows ----

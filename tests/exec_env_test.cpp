@@ -145,6 +145,58 @@ TEST(ExecEnv, ReplDrivesTheMenu) {
   EXPECT_NE(s.find("RUN TERMINATED"), std::string::npos);
 }
 
+TEST(ExecEnv, UnknownKindNamesEveryKind) {
+  Fixture f;
+  std::ostringstream out;
+  f.env->change_trace(out, "NOT-A-KIND", true);
+  for (int k = 0; k < trace::kEventKindCount; ++k) {
+    const std::string name(trace::kind_name(static_cast<trace::EventKind>(k)));
+    EXPECT_NE(out.str().find(" " + name), std::string::npos) << name;
+  }
+}
+
+// Every menu argument must parse in full: a malformed line prints an error
+// and neither kills, initiates nor changes a trace setting.
+TEST(ExecEnv, ReplRejectsMalformedArguments) {
+  Fixture f;
+  std::ostringstream out;
+  std::istringstream start("1\n1 idle\n");
+  f.env->repl(start, out, 100'000);
+  const rt::TaskId id = first_user_task(*f.runtime);
+  ASSERT_TRUE(id.valid());
+  const std::string id_text = std::to_string(id.cluster) + ":" +
+                              std::to_string(id.slot) + ":" +
+                              std::to_string(id.unique);
+  f.env->change_trace(out, "LOCK", true);
+  std::istringstream in(
+      "2\n" + id_text + "x\n"           // trailing junk after the taskid
+      "6\n" + id_text + " " + id_text + "\n"
+      "9\nLOCK maybe\n"                 // neither on nor off
+      "9\nMSG-SEND on " + id_text + "x\n"
+      "1\nx ping\n"
+      "1\n1\n"
+      "1\n1x idle\n"
+      "3\n" + id_text + "\n");
+  std::ostringstream menu;
+  f.env->repl(in, menu, 100'000);
+  const std::string s = menu.str();
+  auto count = [&s](const std::string& what) {
+    int n = 0;
+    for (auto at = s.find(what); at != std::string::npos; at = s.find(what, at + 1)) ++n;
+    return n;
+  };
+  EXPECT_EQ(count("bad taskid"), 2);
+  EXPECT_EQ(count("error: expected on or off, got 'maybe'"), 1);
+  EXPECT_EQ(count("bad arguments"), 5);
+  EXPECT_EQ(count("task killed"), 0);
+  EXPECT_EQ(count("initiate request sent"), 0);
+  EXPECT_EQ(count("trace "), 0);
+  EXPECT_NE(f.runtime->find_record(id), nullptr);
+  EXPECT_TRUE(f.runtime->tracer().enabled(trace::EventKind::lock, {}));
+  EXPECT_FALSE(f.runtime->tracer().enabled(trace::EventKind::msg_send, {}));
+  EXPECT_EQ(f.runtime->running_tasks().size(), 4u);  // 3 controllers + idle
+}
+
 TEST(ExecEnv, OrganizationRenderingMatchesFigure1Structure) {
   config::Configuration cfg = config::Configuration::section9_example();
   Fixture f(cfg);

@@ -18,7 +18,7 @@ TEST(FileStore, CreateListAndLookup) {
   EXPECT_EQ(fs.names(), (std::vector<std::string>{"a", "b"}));
   EXPECT_EQ(fs.get("a").at(3, 3), 1.5);
   EXPECT_EQ(fs.get("b").rows(), 2);
-  EXPECT_THROW(fs.get("missing"), std::out_of_range);
+  EXPECT_THROW((void)fs.get("missing"), std::out_of_range);
   EXPECT_EQ(fs.total_bytes(), (16 + 6) * sizeof(double));
 }
 
