@@ -1,6 +1,5 @@
 #include "config/configuration.hpp"
 
-#include <algorithm>
 #include <iomanip>
 #include <istream>
 #include <limits>
@@ -41,6 +40,7 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
   std::vector<std::string> errors;
   auto err = [&errors](std::string msg) { errors.push_back(std::move(msg)); };
 
+  if (name.find('\n') != std::string::npos) err("name must be one line");
   if (clusters.empty()) err("configuration has no clusters");
   const int max_clusters = spec.pe_count - spec.unix_pe_count;
   if (static_cast<int>(clusters.size()) > max_clusters) {
@@ -87,16 +87,6 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
   if (!clusters.empty() && terminals == 0) {
     err("no cluster has a terminal (user controller)");
   }
-  if (time_limit <= 0) err("time limit must be positive");
-  if (collective_fanout < 2) err("collective fan-out must be at least 2");
-  if (message_heap_bytes < 4096) err("message heap under 4 KB is unusable");
-  if (message_heap_bytes > spec.shared_memory_bytes) {
-    err("message heap exceeds shared memory");
-  }
-  for (auto& problem : topology.validate(spec.pe_count)) {
-    errors.push_back("topology: " + std::move(problem));
-  }
-  for (auto& problem : faults.validate(spec)) errors.push_back(std::move(problem));
   // Partition windows are cluster-level faults: cross-check the pair
   // against the configured cluster numbers (FaultPlan::validate only sees
   // the machine description).
@@ -107,6 +97,25 @@ std::vector<std::string> Configuration::validate(const flex::MachineSpec& spec) 
       }
     }
   }
+  for (auto& problem : validate_knobs(spec)) errors.push_back(std::move(problem));
+  return errors;
+}
+
+std::vector<std::string> Configuration::validate_knobs(
+    const flex::MachineSpec& spec) const {
+  std::vector<std::string> errors;
+  auto err = [&errors](std::string msg) { errors.push_back(std::move(msg)); };
+
+  if (time_limit <= 0) err("time limit must be positive");
+  if (collective_fanout < 2) err("collective fan-out must be at least 2");
+  if (message_heap_bytes < 4096) err("message heap under 4 KB is unusable");
+  if (message_heap_bytes > spec.shared_memory_bytes) {
+    err("message heap exceeds shared memory");
+  }
+  for (auto& problem : topology.validate(spec.pe_count)) {
+    errors.push_back("topology: " + std::move(problem));
+  }
+  for (auto& problem : faults.validate(spec)) errors.push_back(std::move(problem));
   if (supervision.max_restarts < 0) {
     err("supervision restart budget must be >= 0");
   }
@@ -214,124 +223,133 @@ void Configuration::save(std::ostream& os) const {
   os << "end\n";
 }
 
+void read_cluster_field(LineReader& r, ClusterConfig& c, const std::string& field) {
+  if (field == "primary") {
+    r.values(field, c.primary_pe);
+  } else if (field == "slots") {
+    r.values(field, c.slots);
+  } else if (field == "terminal") {
+    r.values(field, c.has_terminal);
+  } else if (field == "place") {
+    std::string policy;
+    r.values(field, policy);
+    const auto p = place_policy_from_name(policy);
+    if (!p) {
+      r.fail("unknown placement policy '" + policy +
+             "' (use primary, least-loaded, round-robin)");
+    }
+    c.place = *p;
+  } else if (field == "secondaries") {
+    while (auto pe = r.next()) c.secondary_pes.push_back(r.parse<int>(*pe, "secondary PE"));
+  } else {
+    r.fail("unknown cluster field '" + field + "'");
+  }
+}
+
+void read_line(LineReader& r, Configuration& cfg, const std::string& key) {
+  auto& f = cfg.faults;
+  if (key == "name") {
+    cfg.name = r.rest();  // names may hold spaces: the rest of the line
+  } else if (key == "timelimit") {
+    r.values(key, cfg.time_limit);
+  } else if (key == "accept-timeout") {
+    r.values(key, cfg.accept_default_timeout);
+  } else if (key == "heap") {
+    r.values(key, cfg.message_heap_bytes);
+  } else if (key == "loadfile") {
+    r.values(key, cfg.loadfile.name, cfg.loadfile.mmos_kernel_bytes,
+             cfg.loadfile.pisces_code_bytes, cfg.loadfile.user_code_bytes);
+  } else if (key == "cluster") {
+    ClusterConfig& c = cfg.clusters.emplace_back();
+    r.values(key, c.number);
+    std::set<std::string> fields;
+    while (auto field = r.next()) {
+      if (!fields.insert(*field).second) r.fail("repeated cluster field '" + *field + "'");
+      read_cluster_field(r, c, *field);
+    }
+    for (const std::string needed : {"primary", "slots", "terminal", "secondaries"}) {
+      if (fields.count(needed) == 0) r.fail("cluster line is missing '" + needed + "'");
+    }
+  } else if (key == "collective-fanout") {
+    r.values(key, cfg.collective_fanout);
+  } else if (key == "topology") {
+    std::string kind;
+    r.values(key, kind);
+    const auto t = flex::topology_from_name(kind);
+    if (!t) r.fail("unknown topology '" + kind + "'");
+    cfg.topology.kind = *t;
+    r.values(key, cfg.topology.pes_per_cluster, cfg.topology.backbone_access,
+             cfg.topology.backbone_per_word, cfg.topology.numa_hop_per_word);
+  } else if (key == "trace") {
+    // Older files carry fewer flags: kinds a file predates load as off.
+    for (bool& on : cfg.trace.kind_on) {
+      const auto tok = r.next();
+      if (!tok) break;
+      on = r.parse<bool>(*tok, "trace flag");
+    }
+  } else if (key == "fault-seed") {
+    r.values(key, f.seed);
+  } else if (key == "fault-halt") {
+    auto& h = f.pe_halts.emplace_back();
+    r.values(key, h.pe, h.at);
+  } else if (key == "fault-bus") {
+    r.values(key, f.bus_loss, f.bus_duplication, f.bus_delay_probability,
+             f.bus_delay_ticks);
+  } else if (key == "fault-heap") {
+    auto& w = f.heap_outages.emplace_back();
+    r.values(key, w.from, w.until);
+  } else if (key == "fault-disk") {
+    r.values(key, f.disk_error);
+  } else if (key == "fault-slow") {
+    auto& s = f.pe_slowdowns.emplace_back();
+    r.values(key, s.pe, s.from, s.until, s.factor);
+  } else if (key == "fault-partition") {
+    auto& p = f.bus_partitions.emplace_back();
+    r.values(key, p.cluster_a, p.cluster_b, p.from, p.until);
+  } else if (key == "fault-recover") {
+    auto& rc = f.pe_recoveries.emplace_back();
+    r.values(key, rc.pe, rc.at);
+  } else if (key == "supervision") {
+    auto& s = cfg.supervision;
+    r.values(key, s.max_restarts, s.backoff_base, s.backoff_factor, s.backoff_cap,
+             s.migrate);
+    s.enabled = true;
+  } else if (key == "reliable") {
+    auto& rel = cfg.reliable;
+    r.values(key, rel.max_retries, rel.backoff_base, rel.backoff_factor,
+             rel.backoff_cap, rel.ack_flush_ticks, rel.send_deadline);
+    rel.enabled = true;
+  } else {
+    r.fail("unknown key '" + key + "'");
+  }
+}
+
 Configuration Configuration::load(std::istream& is) {
+  auto where = [](int number) {
+    return "Configuration::load: line " + std::to_string(number) + ": ";
+  };
   Configuration cfg;
-  cfg.clusters.clear();
   std::string line;
   if (!std::getline(is, line) || line != "pisces-config v1") {
-    throw std::runtime_error("Configuration::load: missing 'pisces-config v1' header");
+    throw std::runtime_error(where(1) + "missing 'pisces-config v1' header");
   }
-  for (int number = 2; std::getline(is, line); ++number) {
-    LineReader r(line,
-                 "Configuration::load: line " + std::to_string(number) + ": ");
+  std::set<std::string> keys;  // every key but cluster and fault-* is set once
+  int number = 2;
+  for (; std::getline(is, line); ++number) {
+    LineReader r(line, where(number));
     const std::optional<std::string> key = r.next();
     if (!key) continue;
-    if (*key == "name") {
-      cfg.name = r.rest();  // names may hold spaces: the rest of the line
-      continue;
+    if (*key != "cluster" && !key->starts_with("fault-") && !keys.insert(*key).second) {
+      r.fail("repeated key '" + *key + "'");
     }
     if (*key == "end") {
       r.done();
-      break;
+      return cfg;
     }
-    if (*key == "timelimit") {
-      r.values(cfg.time_limit);
-    } else if (*key == "accept-timeout") {
-      r.values(cfg.accept_default_timeout);
-    } else if (*key == "heap") {
-      r.values(cfg.message_heap_bytes);
-    } else if (*key == "loadfile") {
-      r.values(cfg.loadfile.name, cfg.loadfile.mmos_kernel_bytes,
-               cfg.loadfile.pisces_code_bytes, cfg.loadfile.user_code_bytes);
-    } else if (*key == "cluster") {
-      ClusterConfig c;
-      r.values(c.number);
-      while (auto tok = r.next()) {
-        if (*tok == "primary") {
-          r.values(c.primary_pe);
-        } else if (*tok == "slots") {
-          r.values(c.slots);
-        } else if (*tok == "terminal") {
-          int t = 0;
-          r.values(t);
-          c.has_terminal = t != 0;
-        } else if (*tok == "place") {
-          std::string policy;
-          r.values(policy);
-          auto p = place_policy_from_name(policy);
-          if (!p.has_value()) r.fail("unknown placement policy '" + policy + "'");
-          c.place = *p;
-        } else if (*tok == "secondaries") {
-          while (auto pe = r.next()) {
-            c.secondary_pes.push_back(r.number<int>(*pe, "secondary PE"));
-          }
-        } else {
-          r.fail("unknown cluster field '" + *tok + "'");
-        }
-      }
-      cfg.clusters.push_back(std::move(c));
-    } else if (*key == "collective-fanout") {
-      r.values(cfg.collective_fanout);
-    } else if (*key == "topology") {
-      std::string kind;
-      r.values(kind);
-      auto t = flex::topology_from_name(kind);
-      if (!t.has_value()) r.fail("unknown topology '" + kind + "'");
-      cfg.topology.kind = *t;
-      r.values(cfg.topology.pes_per_cluster, cfg.topology.backbone_access,
-               cfg.topology.backbone_per_word, cfg.topology.numa_hop_per_word);
-    } else if (*key == "trace") {
-      // Older files carry fewer flags: kinds a file predates load as off.
-      for (bool& on : cfg.trace.kind_on) {
-        auto tok = r.next();
-        if (!tok) break;
-        on = r.number<int>(*tok, "trace flag") != 0;
-      }
-    } else if (*key == "fault-seed") {
-      r.values(cfg.faults.seed);
-    } else if (*key == "fault-halt") {
-      flex::FaultPlan::PeHalt h;
-      r.values(h.pe, h.at);
-      cfg.faults.pe_halts.push_back(h);
-    } else if (*key == "fault-bus") {
-      r.values(cfg.faults.bus_loss, cfg.faults.bus_duplication,
-               cfg.faults.bus_delay_probability, cfg.faults.bus_delay_ticks);
-    } else if (*key == "fault-heap") {
-      flex::FaultPlan::HeapOutage w;
-      r.values(w.from, w.until);
-      cfg.faults.heap_outages.push_back(w);
-    } else if (*key == "fault-disk") {
-      r.values(cfg.faults.disk_error);
-    } else if (*key == "fault-slow") {
-      flex::FaultPlan::PeSlowdown sl;
-      r.values(sl.pe, sl.from, sl.until, sl.factor);
-      cfg.faults.pe_slowdowns.push_back(sl);
-    } else if (*key == "fault-partition") {
-      flex::FaultPlan::BusPartition p;
-      r.values(p.cluster_a, p.cluster_b, p.from, p.until);
-      cfg.faults.bus_partitions.push_back(p);
-    } else if (*key == "fault-recover") {
-      flex::FaultPlan::PeRecover rc;
-      r.values(rc.pe, rc.at);
-      cfg.faults.pe_recoveries.push_back(rc);
-    } else if (*key == "supervision") {
-      int migrate = 0;
-      r.values(cfg.supervision.max_restarts, cfg.supervision.backoff_base,
-               cfg.supervision.backoff_factor, cfg.supervision.backoff_cap,
-               migrate);
-      cfg.supervision.enabled = true;
-      cfg.supervision.migrate = migrate != 0;
-    } else if (*key == "reliable") {
-      r.values(cfg.reliable.max_retries, cfg.reliable.backoff_base,
-               cfg.reliable.backoff_factor, cfg.reliable.backoff_cap,
-               cfg.reliable.ack_flush_ticks, cfg.reliable.send_deadline);
-      cfg.reliable.enabled = true;
-    } else {
-      r.fail("unknown key '" + *key + "'");
-    }
+    read_line(r, cfg, *key);
     r.done();
   }
-  return cfg;
+  throw std::runtime_error(where(number) + "missing 'end'");
 }
 
 Configuration Configuration::simple(int n_clusters, int slots) {

@@ -122,8 +122,14 @@ struct Configuration {
   /// Validate against a machine description. Returns human-readable
   /// problems; empty means the configuration is runnable.
   [[nodiscard]] std::vector<std::string> validate(const flex::MachineSpec& spec) const;
+  /// The problems validate() finds in the knobs outside the cluster table:
+  /// time limit, fan-out, heap, topology, fault plan, supervision, reliable.
+  [[nodiscard]] std::vector<std::string> validate_knobs(
+      const flex::MachineSpec& spec) const;
 
-  /// Text round-trip ("Configurations may be saved on files").
+  /// Text round-trip ("Configurations may be saved on files"). load throws
+  /// std::runtime_error naming the line for anything it cannot read in full,
+  /// a file without its `end` line included.
   void save(std::ostream& os) const;
   static Configuration load(std::istream& is);
 

@@ -1,7 +1,7 @@
 #pragma once
 
-// Strict token reader shared by Configuration::load and the ConfigMenu.
-// Private to src/config.
+// Strict token reader and the per-key readers shared by Configuration::load
+// and the ConfigMenu. Private to src/config.
 
 #include <charconv>
 #include <optional>
@@ -9,6 +9,8 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+
+#include "config/configuration.hpp"
 
 namespace pisces::config {
 
@@ -24,34 +26,31 @@ class LineReader {
   std::optional<std::string> next() {
     std::string tok;
     if (!(in_ >> tok)) return std::nullopt;
-    last_ = tok;
     return tok;
   }
-  /// One value per argument for the token just read (a key such as
-  /// "reliable", or a cluster field such as "primary"). Strings take any
-  /// token; everything else must parse as a number in full.
+  /// One value per argument for `key` (a key such as "reliable", or a
+  /// cluster field such as "primary"). Strings take any token, flags only 0
+  /// or 1; everything else must parse as a number in full.
   template <typename... T>
-  void values(T&... out) {
-    const std::string key = last_;
+  void values(const std::string& key, T&... out) {
     const auto of = std::to_string(sizeof...(T));
     int n = 0;
     (value(key, std::to_string(++n) + " of " + of, out), ...);
   }
-  /// values(), then the end of the line: exactly these values remain.
-  template <typename... T>
-  void exactly(T&... out) {
-    values(out...);
-    done();
-  }
   template <typename T>
-  T number(const std::string& tok, const std::string& what) const {
-    T v{};
-    const char* end = tok.data() + tok.size();
-    const auto [stop, ec] = std::from_chars(tok.data(), end, v);
-    if (ec != std::errc{} || stop != end) {
-      fail(what + " is not a number: '" + tok + "'");
+  T parse(const std::string& tok, const std::string& what) const {
+    if constexpr (std::is_same_v<T, bool>) {
+      if (tok != "0" && tok != "1") fail(what + " is not 0 or 1: '" + tok + "'");
+      return tok == "1";
+    } else {
+      T v{};
+      const char* end = tok.data() + tok.size();
+      const auto [stop, ec] = std::from_chars(tok.data(), end, v);
+      if (ec != std::errc{} || stop != end) {
+        fail(what + " is not a number: '" + tok + "'");
+      }
+      return v;
     }
-    return v;
   }
   /// The rest of the line after the single space that follows the key.
   std::string rest() {
@@ -75,13 +74,21 @@ class LineReader {
     if constexpr (std::is_same_v<T, std::string>) {
       out = *tok;
     } else {
-      out = number<T>(*tok, "'" + key + "' value " + which);
+      out = parse<T>(*tok, "'" + key + "' value " + which);
     }
   }
 
   std::istringstream in_;
   std::string where_;
-  std::string last_;
 };
+
+/// Reads the values of a saved line whose key is `key` into `cfg`: sets a
+/// knob, or appends a cluster or a fault-plan entry. Throws through `r` for
+/// an unknown key or a bad value; the caller checks the end of the line.
+void read_line(LineReader& r, Configuration& cfg, const std::string& key);
+
+/// Reads the value of one field of a saved `cluster` line (`primary`,
+/// `slots`, `terminal`, `place` or `secondaries`) into `c`.
+void read_cluster_field(LineReader& r, ClusterConfig& c, const std::string& field);
 
 }  // namespace pisces::config

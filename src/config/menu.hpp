@@ -26,10 +26,17 @@ namespace pisces::config {
 ///   show                         print the configuration
 ///   validate                     check against the machine
 ///   done                         finish (returns the configuration)
-/// (plus place, fanout, topology, fault, supervise and reliable). A command
-/// reads all of its arguments and the whole line before it changes
-/// anything: a malformed line prints an error and the command's usage and
-/// leaves the configuration unchanged.
+/// (plus place, fanout, topology, fault, supervise and reliable). timelimit,
+/// heap, fanout and `fault seed|halt|bus|...` take the values of the saved
+/// line of the same key (collective-fanout, fault-*) and read them with the
+/// loader's reader; primary, slots and place read the cluster line's field.
+/// A command edits a copy of the configuration, kept only if the whole line
+/// parses and the copy has no knob problem (Configuration::validate_knobs)
+/// that the configuration did not have; otherwise the menu prints
+/// `error: ...` and the command's usage and changes nothing. The cluster
+/// table's rules (a terminal, distinct primaries, partitions between
+/// configured clusters) wait for `validate`, so a configuration can be
+/// built one command at a time.
 class ConfigMenu {
  public:
   explicit ConfigMenu(flex::MachineSpec spec = {}) : spec_(std::move(spec)) {}
@@ -47,10 +54,8 @@ class ConfigMenu {
   [[nodiscard]] const Configuration& current() const { return cfg_; }
 
  private:
-  ClusterConfig* find_or_add(int number, std::ostream& out);
-
   flex::MachineSpec spec_;
-  Configuration cfg_ = [] { Configuration c; c.clusters.clear(); return c; }();
+  Configuration cfg_;
 };
 
 }  // namespace pisces::config

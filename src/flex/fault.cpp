@@ -78,9 +78,9 @@ std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
     // (Loss and duplication still compose on a logical transfer under the
     // reliable layer, where each retransmit attempt gets its own draw.)
     std::ostringstream msg;
-    msg << "bus fault probabilities must sum to <= 1 (one draw per transfer "
-           "picks at most one fault): loss "
-        << bus_loss << " + duplication " << bus_duplication << " + delay "
+    msg << "bus fault probabilities must sum to <= 1 because one draw per "
+           "transfer picks at most one fault: loss "
+        << bus_loss << " + dup " << bus_duplication << " + delay-prob "
         << bus_delay_probability << " = " << bus_sum;
     problems.push_back(msg.str());
   }

@@ -26,11 +26,7 @@ Backend default_backend() {
     return (env[0] != '\0' && env[0] != '0') ? Backend::threads
                                              : Backend::fibers;
   }
-#if defined(PISCES_SIM_DEFAULT_THREADS)
-  return Backend::threads;
-#else
   return Backend::fibers;
-#endif
 #endif
 }
 

@@ -28,10 +28,8 @@ enum class Backend {
 /// The backend a default-constructed Engine uses:
 ///  - ThreadSanitizer builds always get `threads` (TSan cannot track fiber
 ///    context switches and reports false races on fiber stacks).
-///  - Otherwise the PISCES_SIM_THREADS environment variable decides when
-///    set ("1"/non-empty → threads, "0"/"" → fibers).
-///  - Otherwise the compile-time default: fibers, or threads when built
-///    with -DPISCES_SIM_DEFAULT_THREADS (CMake option PISCES_SIM_THREADS).
+///  - Otherwise `threads` when the PISCES_SIM_THREADS environment variable
+///    is set to anything but "" or "0", and `fibers` when it is not.
 [[nodiscard]] Backend default_backend();
 
 /// A place in the engine's event order: a tick, and a position among the

@@ -4,9 +4,11 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 
 #include "config/menu.hpp"
+#include "text_mutations.hpp"
 
 namespace pisces::config {
 namespace {
@@ -778,6 +780,284 @@ TEST(Menu, TopologyCommandSetsAndValidates) {
   EXPECT_NE(out.str().find("unknown topology option"), std::string::npos);
   menu.apply("topology shared", out);
   EXPECT_EQ(menu.current().topology.kind, flex::Topology::shared);
+}
+
+/// A valid configuration drawn from `seed`: clusters with placement and
+/// secondaries, a topology, trace flags, every fault family, supervision and
+/// the reliable transport, with doubles that need max_digits10 to round-trip.
+Configuration random_config(std::uint64_t seed) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](std::int64_t lo, std::int64_t hi) {
+    return lo + static_cast<std::int64_t>(rng() % static_cast<std::uint64_t>(hi - lo + 1));
+  };
+  auto pick_int = [&pick](int lo, int hi) { return static_cast<int>(pick(lo, hi)); };
+  auto unit = [&rng] { return static_cast<double>(rng() >> 11) * 0x1.0p-53; };
+  auto coin = [&rng] { return rng() % 2 == 0; };
+  const flex::MachineSpec spec = nasa_spec();
+  const int first = spec.first_mmos_pe();
+
+  Configuration cfg;
+  cfg.name = "random " + std::to_string(seed) + (coin() ? " run" : "");
+  cfg.time_limit = pick(1, 1'000'000'000);
+  cfg.accept_default_timeout = pick(0, 5'000'000);
+  cfg.message_heap_bytes = static_cast<std::size_t>(pick(4096, 2'359'296));
+  cfg.loadfile.name = "job" + std::to_string(pick(0, 99)) + ".load";
+  cfg.loadfile.user_code_bytes = static_cast<std::size_t>(pick(0, 1 << 20));
+  std::vector<int> pes;
+  for (int pe = first; pe <= spec.pe_count; ++pe) pes.push_back(pe);
+  std::shuffle(pes.begin(), pes.end(), rng);
+  const int n = pick_int(1, 6);
+  for (int i = 0; i < n; ++i) {
+    ClusterConfig& c = cfg.clusters.emplace_back();
+    c.number = 2 * i + pick_int(0, 1);
+    c.primary_pe = pes[static_cast<std::size_t>(i)];
+    c.slots = pick_int(1, 8);
+    c.place = static_cast<PlacePolicy>(pick_int(0, 2));
+    for (int pe : pes) {
+      if (pe != c.primary_pe && pick(0, 3) == 0) c.secondary_pes.push_back(pe);
+    }
+  }
+  cfg.clusters[static_cast<std::size_t>(pick_int(0, n - 1))].has_terminal = true;
+  cfg.collective_fanout = pick_int(2, 16);
+  cfg.topology.kind = static_cast<flex::Topology>(pick_int(0, 2));
+  cfg.topology.pes_per_cluster = pick_int(1, 20);
+  cfg.topology.backbone_access = pick(0, 50);
+  cfg.topology.backbone_per_word = pick(0, 10);
+  cfg.topology.numa_hop_per_word = pick(0, 10);
+  for (bool& on : cfg.trace.kind_on) on = coin();
+
+  auto& f = cfg.faults;
+  f.seed = rng();
+  for (int i = pick_int(0, 2); i > 0; --i) {
+    const flex::FaultPlan::PeHalt h{pick_int(first, spec.pe_count), pick(0, 100'000'000)};
+    f.pe_halts.push_back(h);
+    if (coin()) f.pe_recoveries.push_back({h.pe, h.at + pick(1, 1'000'000)});
+  }
+  f.bus_loss = unit() / 3;
+  f.bus_duplication = unit() / 3;
+  f.bus_delay_probability = unit() / 3;
+  f.bus_delay_ticks = pick(0, 1'000'000);
+  for (sim::Tick from = pick(0, 1000); from < 5000; from += pick(1, 2000)) {
+    const sim::Tick until = from + pick(1, 1000);
+    f.heap_outages.push_back({from, until});
+    from = until;
+  }
+  f.disk_error = unit();
+  for (int i = pick_int(0, 2); i > 0; --i) {
+    const sim::Tick from = pick(0, 1'000'000);
+    f.pe_slowdowns.push_back(
+        {pick_int(first, spec.pe_count), from, from + pick(1, 1'000'000), 0.5 + 3 * unit()});
+  }
+  if (n >= 3) {  // clusters past the first have numbers >= 2
+    const sim::Tick from = pick(0, 1'000'000);
+    f.bus_partitions.push_back(
+        {cfg.clusters[1].number, cfg.clusters[2].number, from, from + pick(1, 1'000'000)});
+  }
+
+  auto& s = cfg.supervision;
+  s.enabled = coin();
+  s.max_restarts = pick_int(0, 10);
+  s.backoff_base = pick(1, 1'000'000);
+  s.backoff_factor = 1 + 3 * unit();
+  s.backoff_cap = s.backoff_base + pick(0, 10'000'000);
+  s.migrate = coin();
+  auto& rel = cfg.reliable;
+  rel.enabled = coin();
+  rel.max_retries = pick_int(0, 10);
+  rel.backoff_base = pick(1, 1'000'000);
+  rel.backoff_factor = 1 + 3 * unit();
+  rel.backoff_cap = rel.backoff_base + pick(0, 10'000'000);
+  rel.ack_flush_ticks = pick(1, 100'000);
+  rel.send_deadline = pick(0, 10'000'000);
+  return cfg;
+}
+
+std::string saved(const Configuration& cfg) {
+  std::ostringstream out;
+  cfg.save(out);
+  return out.str();
+}
+
+Configuration loaded(const std::string& text) {
+  std::istringstream in(text);
+  return Configuration::load(in);
+}
+
+TEST(Persistence, SaveLoadIsIdentityOverRandomConfigs) {
+  for (std::uint64_t seed = 1; seed <= 300; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Configuration cfg = random_config(seed);
+    const auto problems = cfg.validate(nasa_spec());
+    ASSERT_TRUE(problems.empty()) << problems.front();
+    const std::string text = saved(cfg);
+    EXPECT_EQ(saved(loaded(text)), text);
+  }
+}
+
+TEST(Persistence, MutatedFilesThrowWithTheirLineOrLoadCanonically) {
+  // Each mutant of a saved file either throws naming a line of the file, or
+  // loads to a configuration that save and load leave unchanged; none is
+  // read in part. A file that lost its `end` line must throw.
+  std::vector<std::string> bases = {saved(Configuration::section9_example())};
+  for (std::uint64_t seed : {1, 2, 3}) {
+    Configuration cfg = random_config(seed);
+    cfg.supervision.enabled = cfg.reliable.enabled = true;
+    bases.push_back(saved(cfg));
+  }
+  std::mt19937_64 rng(2024);
+  int threw = 0;
+  int total = 0;
+  for (const std::string& base : bases) {
+    for (int i = 0; i < 400; ++i, ++total) {
+      const std::string mutant = mutation::mutate(base, rng);
+      SCOPED_TRACE(mutant);
+      bool has_end = false;
+      for (const auto& line : mutation::split(mutant, '\n')) {
+        std::istringstream tokens(line);
+        std::string first;
+        std::string more;
+        tokens >> first;
+        has_end = has_end || (first == "end" && !(tokens >> more));
+      }
+      try {
+        const std::string once = saved(loaded(mutant));
+        EXPECT_TRUE(has_end) << "loaded without its end line";
+        EXPECT_EQ(saved(loaded(once)), once);
+      } catch (const std::runtime_error& e) {
+        ++threw;
+        const int line = mutation::named_line(e.what());
+        EXPECT_GE(line, 1) << e.what();
+        EXPECT_LE(line, static_cast<int>(mutation::split(mutant, '\n').size()) + 1)
+            << e.what();
+      }
+    }
+  }
+  // Both outcomes occur: the sweep is not vacuous either way.
+  EXPECT_GT(threw, total / 4);
+  EXPECT_LT(threw, total);
+}
+
+TEST(Persistence, LoadRefusesFilesItUsedToReadInPart) {
+  // Each of these files used to load, in part or with a value changed. Now
+  // each throws, naming its line.
+  auto file = [](const std::string& body) { return "pisces-config v1\n" + body + "end\n"; };
+  auto cfg = Configuration::simple(2);
+  cfg.reliable.enabled = true;
+  const std::string text = saved(cfg);
+  // Dropping the last two lines (`reliable ...`, `end`) used to load with
+  // the reliable transport silently off.
+  const std::string cut = text.substr(0, text.rfind("reliable "));
+  const struct {
+    std::string file;
+    int line;
+    const char* what;
+  } bad[] = {
+      {cut, static_cast<int>(mutation::split(cut, '\n').size()) + 1, "missing 'end'"},
+      {file("cluster 1 primary 3 slots 4 terminal 7 secondaries\n"), 2, "'7'"},
+      {file("supervision 3 250000 2 16000000 9\n"), 2, "'9'"},
+      {file("trace 1 0 5\n"), 2, "'5'"},
+      {file("cluster 1 primary 3 primary 4 slots 4 terminal 1 secondaries\n"), 2,
+       "repeated cluster field 'primary'"},
+      {file("cluster 1 secondaries\n"), 2, "missing 'primary'"},
+      {file("cluster 1 primary 3 terminal 1 secondaries\n"), 2, "missing 'slots'"},
+      {file("cluster 1 primary 3 slots 4 secondaries\n"), 2, "missing 'terminal'"},
+      {file("cluster 1 primary 3 slots 4 terminal 1\n"), 2, "missing 'secondaries'"},
+      {file("timelimit 5\nheap 8192\ntimelimit 6\n"), 4, "repeated key 'timelimit'"},
+      {file("name a\nname b\n"), 3, "repeated key 'name'"},
+      {file("reliable 6 150000 2 2000000 20000 0\nreliable 6 150000 2 2000000 20000 0\n"),
+       3, "repeated key 'reliable'"},
+  };
+  for (const auto& c : bad) {
+    SCOPED_TRACE(c.file);
+    try {
+      (void)loaded(c.file);
+      ADD_FAILURE() << "loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line " + std::to_string(c.line) + ":"), std::string::npos)
+          << what;
+      EXPECT_NE(what.find(c.what), std::string::npos) << what;
+    }
+  }
+  // A name holding a line break would save as two lines: validate says so.
+  Configuration broken = Configuration::simple(1);
+  broken.name = "two\nlines";
+  const auto problems = broken.validate(nasa_spec());
+  ASSERT_EQ(problems.size(), 1u);
+  EXPECT_EQ(problems[0], "name must be one line");
+  // Cluster lines and fault-* lines may repeat, and the short legacy trace
+  // line still loads.
+  const Configuration ok = loaded(file(
+      "cluster 1 primary 3 slots 4 terminal 1 secondaries\n"
+      "cluster 2 primary 4 slots 4 terminal 0 secondaries 7 8\n"
+      "fault-halt 4 100\nfault-halt 5 200\ntrace 0 1\n"));
+  EXPECT_EQ(ok.clusters.size(), 2u);
+  EXPECT_EQ(ok.faults.pe_halts.size(), 2u);
+  EXPECT_TRUE(ok.trace.get(trace::EventKind::task_term));
+}
+
+TEST(Menu, RefusesValuesValidateReports) {
+  ConfigMenu menu;
+  std::ostringstream setup;
+  for (const char* line : {"cluster 1", "primary 1 3", "terminal 1"}) {
+    menu.apply(line, setup);
+  }
+  ASSERT_EQ(setup.str(), "");
+  const struct {
+    const char* line;
+    std::vector<std::string> problems;
+    const char* usage;
+  } refused[] = {
+      {"heap 100", {"message heap under 4 KB is unusable"}, "heap <bytes>"},
+      {"timelimit 0", {"time limit must be positive"}, "timelimit <ticks>"},
+      {"supervise restarts -1",
+       {"supervision restart budget must be >= 0"},
+       "supervise restarts <n>"},
+      {"supervise backoff 0 0.5 1",
+       {"supervision backoff base must be > 0", "supervision backoff factor must be >= 1"},
+       "supervise backoff <base> <factor> <cap>"},
+      {"fault halt 1 0", {"fault-halt PE 1 is not an MMOS PE"}, "fault halt <pe> <tick>"},
+      {"fault slow 3 10 5 2",
+       {"fault-slow window must have 0 <= from < until"},
+       "fault slow <pe> <from> <until> <factor>"},
+      // Negative cluster numbers are refused like any other bad value.
+      {"cluster -1", {"cluster numbers must be non-negative"}, "cluster <n>"},
+      {"slots -2 4", {"cluster numbers must be non-negative"}, "slots <cluster> <count>"},
+  };
+  for (const auto& c : refused) {
+    SCOPED_TRACE(c.line);
+    std::ostringstream before;
+    std::ostringstream after;
+    std::ostringstream out;
+    menu.apply("show", before);
+    EXPECT_TRUE(menu.apply(c.line, out));
+    menu.apply("show", after);
+    EXPECT_EQ(after.str(), before.str());
+    std::string expected;
+    for (const auto& p : c.problems) expected += "error: " + p + "\n";
+    EXPECT_EQ(out.str(), expected + "usage: " + c.usage + "\n");
+  }
+
+  // The cluster table's rules wait for `validate`: a first cluster has no
+  // terminal yet, and a partition may name a cluster not yet configured.
+  ConfigMenu fresh;
+  std::ostringstream out;
+  EXPECT_TRUE(fresh.apply("cluster 1", out));
+  EXPECT_TRUE(fresh.apply("fault partition 1 2 500 1500", out));
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(fresh.current().cluster_count(), 1);
+  EXPECT_EQ(fresh.current().faults.bus_partitions.size(), 1u);
+
+  // Only new problems refuse: a knob that was already bad does not block
+  // an edit of another one.
+  Configuration bad = Configuration::simple(1);
+  bad.reliable.max_retries = -1;
+  ConfigMenu editor;
+  editor.edit(bad);
+  EXPECT_TRUE(editor.apply("reliable ack-flush 300", out));
+  EXPECT_EQ(out.str(), "");
+  EXPECT_EQ(editor.current().reliable.ack_flush_ticks, 300);
+  EXPECT_EQ(editor.current().reliable.max_retries, -1);
 }
 
 }  // namespace

@@ -4,10 +4,12 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
 
+#include "text_mutations.hpp"
 #include "trace/analyzer.hpp"
 
 namespace pisces::trace {
@@ -142,6 +144,56 @@ TEST(Analyzer, ParseRejectsMalformedTraceLinesWithTheirLocation) {
       EXPECT_NE(what.find(token), std::string::npos) << what;
     }
   }
+}
+
+/// `records` as a trace file: one formatted line each.
+std::string formatted(const std::vector<Record>& records) {
+  std::string text;
+  for (const auto& r : records) text += r.format() + "\n";
+  return text;
+}
+
+std::vector<Record> parsed(const std::string& text) {
+  std::istringstream in(text);
+  return Analyzer::parse(in);
+}
+
+TEST(Analyzer, MutatedTraceFilesThrowWithTheirLineOrParseCanonically) {
+  // Each mutant of a formatted trace file either throws naming a line of
+  // the file, or parses to records whose formatted text parses back to the
+  // same text; none is read in part.
+  std::vector<Record> records = {
+      make(EventKind::task_init, 100, rt::TaskId{1, 3, 1}),
+      make(EventKind::msg_send, 150, rt::TaskId{1, 3, 1}, 7, rt::TaskId{2, 3, 2}),
+      make(EventKind::msg_accept, 300, rt::TaskId{2, 3, 2}, 7),
+      make(EventKind::retransmit, 420, rt::TaskId{1, 3, 1}, 9, rt::TaskId{2, 3, 2}),
+      make(EventKind::fault, 460, rt::TaskId{0, -1, 0}),
+      make(EventKind::force_split, 480, rt::TaskId{3, 5, 11}),
+      make(EventKind::task_term, 500, rt::TaskId{1, 3, 1}),
+  };
+  records[1].info = "rows";
+  records[3].info = "unit #2";
+  records[4].info = "pe-slow pe 7 x1.5 until 9000";
+  const std::string base = "PISCES FAULT: not a trace line\n" + formatted(records);
+  std::mt19937_64 rng(2024);
+  int threw = 0;
+  const int total = 2000;
+  for (int i = 0; i < total; ++i) {
+    const std::string mutant = mutation::mutate(base, rng);
+    SCOPED_TRACE(mutant);
+    try {
+      const std::string once = formatted(parsed(mutant));
+      EXPECT_EQ(formatted(parsed(once)), once);
+    } catch (const std::runtime_error& e) {
+      ++threw;
+      const int line = mutation::named_line(e.what());
+      EXPECT_GE(line, 1) << e.what();
+      EXPECT_LE(line, static_cast<int>(mutation::split(mutant, '\n').size())) << e.what();
+    }
+  }
+  // Both outcomes occur: the sweep is not vacuous either way.
+  EXPECT_GT(threw, total / 10);
+  EXPECT_LT(threw, total);
 }
 
 TEST(Analyzer, TaskLifetimesAndMessageLatencies) {
