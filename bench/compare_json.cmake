@@ -1,7 +1,13 @@
 # Run BENCH with --json=OUT, then require that it exited 0 (every claim it
 # checks held) and that OUT matches the checked-in EXPECTED byte for byte.
 #   cmake -DBENCH=<exe> -DOUT=<path> -DEXPECTED=<path> -P compare_json.cmake
-execute_process(COMMAND ${BENCH} --json=${OUT} RESULT_VARIABLE status)
+# With -DSTDOUT=ON, BENCH runs with the arguments in ARGS (if any) instead,
+# and OUT is what it prints on stdout (the examples' transcripts).
+if(STDOUT)
+  execute_process(COMMAND ${BENCH} ${ARGS} OUTPUT_FILE ${OUT} RESULT_VARIABLE status)
+else()
+  execute_process(COMMAND ${BENCH} --json=${OUT} RESULT_VARIABLE status)
+endif()
 if(NOT status EQUAL 0)
   message(FATAL_ERROR "${BENCH} exited with status ${status}")
 endif()

@@ -333,23 +333,27 @@ Configuration Configuration::load(std::istream& is) {
   if (!std::getline(is, line) || line != "pisces-config v1") {
     throw std::runtime_error(where(1) + "missing 'pisces-config v1' header");
   }
-  std::set<std::string> keys;  // every key but cluster and fault-* is set once
+  // Only the keys that append to a list may repeat; every other is set once.
+  static const std::set<std::string> kListKeys{
+      "cluster",         "fault-halt", "fault-heap", "fault-slow",
+      "fault-partition", "fault-recover"};
+  std::set<std::string> keys;
+  bool ended = false;
   int number = 2;
   for (; std::getline(is, line); ++number) {
     LineReader r(line, where(number));
     const std::optional<std::string> key = r.next();
     if (!key) continue;
-    if (*key != "cluster" && !key->starts_with("fault-") && !keys.insert(*key).second) {
+    if (ended) r.fail("'" + *key + "' after 'end'");
+    if (!kListKeys.contains(*key) && !keys.insert(*key).second) {
       r.fail("repeated key '" + *key + "'");
     }
-    if (*key == "end") {
-      r.done();
-      return cfg;
-    }
-    read_line(r, cfg, *key);
+    ended = *key == "end";
+    if (!ended) read_line(r, cfg, *key);
     r.done();
   }
-  throw std::runtime_error(where(number) + "missing 'end'");
+  if (!ended) throw std::runtime_error(where(number) + "missing 'end'");
+  return cfg;
 }
 
 Configuration Configuration::simple(int n_clusters, int slots) {

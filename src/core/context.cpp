@@ -143,9 +143,8 @@ AcceptResult TaskContext::accept(AcceptSpec spec) {
     }
     return false;
   };
-  // The per-type index finds each wanted type's earliest message directly;
-  // merging the candidates by send sequence preserves the old full-scan's
-  // arrival-order processing without touching unrelated queue entries.
+  // Take the earliest arrival of each wanted type, then the one with the
+  // lowest send sequence, until no wanted message is queued.
   auto scan = [&] {
     auto& q = rec_->in_queue;
     while (true) {

@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <map>
 #include <memory>
 #include <string>
@@ -50,8 +49,8 @@ struct TaskRecord {
   int pe = 0;  ///< PE the task's process was placed on (see PlacePolicy)
   sim::Tick initiated_at = 0;
 
-  MessageQueue in_queue;          ///< user-visible messages, arrival order + type index
-  std::deque<Message> replies;    ///< internal system replies (window service)
+  MessageQueue in_queue;          ///< user-visible messages, arrival order
+  std::vector<Message> replies;   ///< internal system replies (window service)
   bool waiting_in_accept = false;
 
   std::vector<Value> init_args;   ///< arguments from the INITIATE statement

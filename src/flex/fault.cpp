@@ -17,45 +17,6 @@ bool probability(double p, const char* what, std::vector<std::string>& out) {
 
 }  // namespace
 
-PartitionIndex::PartitionIndex(std::vector<Window> windows)
-    : windows_(std::move(windows)) {
-  for (auto& w : windows_) {
-    if (w.a > w.b) std::swap(w.a, w.b);
-  }
-  std::sort(windows_.begin(), windows_.end(),
-            [](const Window& x, const Window& y) { return x.from < y.from; });
-  active_.reserve(windows_.size());
-}
-
-bool PartitionIndex::active(int a, int b, sim::Tick now) const {
-  if (windows_.empty()) return false;
-  if (a > b) std::swap(a, b);
-  if (now < watermark_) {
-    // Time went backwards relative to the cursor (tests probing earlier
-    // ticks): answer from the full sorted list without disturbing it.
-    for (const auto& w : windows_) {
-      if (w.from > now) break;
-      if (w.a == a && w.b == b && now < w.until) return true;
-    }
-    return false;
-  }
-  watermark_ = now;
-  while (next_ < windows_.size() && windows_[next_].from <= now) {
-    active_.push_back(next_);
-    ++next_;
-  }
-  bool hit = false;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < active_.size(); ++i) {
-    const Window& w = windows_[active_[i]];
-    if (now >= w.until) continue;  // expired: drop from the active set
-    active_[kept++] = active_[i];
-    if (w.a == a && w.b == b) hit = true;
-  }
-  active_.resize(kept);
-  return hit;
-}
-
 std::vector<std::string> FaultPlan::validate(const MachineSpec& spec) const {
   std::vector<std::string> problems;
   for (const auto& h : pe_halts) {

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -91,13 +92,8 @@ struct FaultPlan {
 /// Verdict for one bus transfer.
 enum class BusFault { none, lose, duplicate, delay };
 
-/// Index over [from, until) windows keyed by an unordered pair, built once
-/// and queried on every transfer. Simulation time is almost always
-/// monotonic, so the index keeps windows sorted by `from` and maintains a
-/// small active set advanced with the query tick: a quiet plan (or one whose
-/// windows have all expired) answers in O(1) amortized regardless of how
-/// many windows the plan carries. Non-monotonic queries (tests replaying
-/// earlier ticks) fall back to a full scan of the sorted list.
+/// [from, until) windows keyed by an unordered pair, queried on every
+/// transfer. A plan carries a handful of windows, so a query scans them.
 class PartitionIndex {
  public:
   struct Window {
@@ -108,20 +104,18 @@ class PartitionIndex {
   };
 
   PartitionIndex() = default;
-  explicit PartitionIndex(std::vector<Window> windows);
+  explicit PartitionIndex(std::vector<Window> windows) : windows_(std::move(windows)) {}
 
   /// True when a window over the unordered pair {a, b} covers `now`.
-  [[nodiscard]] bool active(int a, int b, sim::Tick now) const;
-
-  [[nodiscard]] bool empty() const { return windows_.empty(); }
-  [[nodiscard]] std::size_t size() const { return windows_.size(); }
+  [[nodiscard]] bool active(int a, int b, sim::Tick now) const {
+    return std::any_of(windows_.begin(), windows_.end(), [&](const Window& w) {
+      return ((w.a == a && w.b == b) || (w.a == b && w.b == a)) &&
+             now >= w.from && now < w.until;
+    });
+  }
 
  private:
-  std::vector<Window> windows_;  // pair-normalized (a <= b), sorted by from
-  // Cursor state for monotonic queries; mutable because queries advance it.
-  mutable std::vector<std::size_t> active_;  // started, not yet expired
-  mutable std::size_t next_ = 0;             // first window not yet started
-  mutable sim::Tick watermark_ = 0;          // highest tick seen so far
+  std::vector<Window> windows_;
 };
 
 /// Counters for faults actually injected (as opposed to planned); the chaos
@@ -184,8 +178,7 @@ class FaultInjector {
   }
 
   /// True when a partition window currently separates the two *configured*
-  /// clusters (the FaultPlan's cluster numbers). Indexed: amortized O(1)
-  /// per query on monotonic ticks, however many windows the plan carries.
+  /// clusters (the FaultPlan's cluster numbers).
   [[nodiscard]] bool partitioned(int cluster_a, int cluster_b,
                                  sim::Tick now) const {
     return partition_index_.active(cluster_a, cluster_b, now);

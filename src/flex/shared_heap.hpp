@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -14,16 +13,13 @@ namespace pisces::flex {
 /// The message-passing area of shared memory (paper Section 11): "a heap
 /// with explicit allocation/deallocation as messages are sent and accepted."
 ///
-/// Allocation uses segregated free lists: free blocks are binned into
-/// power-of-two size classes (class k holds sizes in [granule*2^k,
-/// granule*2^(k+1))). An allocation searches its own class for the smallest
-/// fitting block (best fit within the class, lowest offset on ties) and
-/// falls through to the next non-empty class, so the cost is O(log classes)
-/// instead of a first-fit walk of the whole free list. The address-ordered
-/// map of free blocks is kept alongside the bins so adjacent free blocks
-/// still coalesce on release. Offsets model shared-memory addresses; the
-/// heap tracks live/peak usage so the Section 13 storage experiment can show
-/// that message storage is dynamically recovered and reused.
+/// Allocation is exact best fit: free blocks are kept ordered by (size,
+/// offset), so one lower_bound finds the smallest block that fits, lowest
+/// offset on ties. The address-ordered map of the same free blocks lets
+/// adjacent ones coalesce on release. Offsets model shared-memory
+/// addresses; the heap tracks live/peak usage so the Section 13 storage
+/// experiment can show that message storage is dynamically recovered and
+/// reused.
 class SharedHeap {
  public:
   explicit SharedHeap(std::size_t capacity) : capacity_(capacity) {
@@ -65,36 +61,22 @@ class SharedHeap {
     return (bytes + kGranule - 1) / kGranule * kGranule;
   }
 
-  /// Power-of-two size class of a block of `size` bytes (size >= kGranule).
-  static std::size_t size_class(std::size_t size);
-  static constexpr std::size_t kSizeClasses = 48;
-
  private:
-  /// A free block in its size-class bin, ordered by (size, offset) so a
-  /// lower_bound on size yields the smallest fitting block deterministically.
-  using Bin = std::set<std::pair<std::size_t, std::size_t>>;
-
-  /// Value of the address-ordered free map: the block size plus a handle
-  /// into its size-class bin, so unlinking never re-searches the bin.
-  struct FreeEntry {
-    std::size_t size = 0;
-    Bin::iterator bin_it;
-  };
-  using FreeMap = std::map<std::size_t, FreeEntry>;
+  using FreeMap = std::map<std::size_t, std::size_t>;  ///< offset -> size
 
   void insert_free(std::size_t offset, std::size_t size) {
-    auto bin_it = bins_[size_class(size)].insert({size, offset}).first;
-    free_blocks_[offset] = FreeEntry{size, bin_it};
+    by_size_.insert({size, offset});
+    free_blocks_[offset] = size;
   }
   FreeMap::iterator erase_free(FreeMap::iterator it) {
-    bins_[size_class(it->second.size)].erase(it->second.bin_it);
+    by_size_.erase({it->second, it->first});
     return free_blocks_.erase(it);
   }
 
   std::size_t capacity_;
-  FreeMap free_blocks_;                             ///< offset -> entry (address order)
-  std::array<Bin, kSizeClasses> bins_;              ///< segregated by size class
-  std::map<std::size_t, std::size_t> allocated_;    ///< offset -> size
+  FreeMap free_blocks_;                                   ///< address order
+  std::set<std::pair<std::size_t, std::size_t>> by_size_;  ///< (size, offset)
+  std::map<std::size_t, std::size_t> allocated_;          ///< offset -> size
   bool outage_ = false;
   std::size_t in_use_ = 0;
   std::size_t peak_in_use_ = 0;

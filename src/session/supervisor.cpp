@@ -43,13 +43,7 @@ const RestartPolicy* Supervisor::policy_for(const std::string& tasktype) const {
 }
 
 void Supervisor::trace(rt::TaskId task, rt::TaskId other, std::string info) {
-  trace::Record r;
-  r.kind = trace::EventKind::supervision;
-  r.at = rt_->engine().now();
-  r.task = task;
-  r.other = other;
-  r.info = std::move(info);
-  rt_->tracer().record(std::move(r));
+  rt_->trace_event(trace::EventKind::supervision, task, other, 0, 0, std::move(info));
 }
 
 void Supervisor::on_start(const rt::Runtime::TaskStartInfo& info) {

@@ -996,6 +996,46 @@ TEST(Persistence, LoadRefusesFilesItUsedToReadInPart) {
   EXPECT_TRUE(ok.trace.get(trace::EventKind::task_term));
 }
 
+// Only the list keys (cluster, fault-halt, fault-heap, fault-slow,
+// fault-partition, fault-recover) may repeat. A second fault-seed, fault-bus
+// or fault-disk line used to win over the first.
+TEST(Persistence, LoadRefusesARepeatedSingleValuedFaultKey) {
+  for (const std::string line :
+       {"fault-seed 7\n", "fault-bus 0.1 0 0 50000\n", "fault-disk 0.25\n"}) {
+    const std::string key = line.substr(0, line.find(' '));
+    SCOPED_TRACE(key);
+    try {
+      (void)loaded("pisces-config v1\n" + line + line + "end\n");
+      ADD_FAILURE() << "loaded";
+    } catch (const std::runtime_error& e) {
+      const std::string what = e.what();
+      EXPECT_NE(what.find("line 3: repeated key '" + key + "'"), std::string::npos)
+          << what;
+    }
+  }
+  const Configuration lists = loaded(
+      "pisces-config v1\nfault-heap 1 2\nfault-heap 3 4\nfault-slow 3 1 2 2\n"
+      "fault-slow 3 5 6 2\nfault-partition 1 2 1 2\nfault-partition 1 2 3 4\n"
+      "fault-recover 3 10\nfault-recover 3 20\nend\n");
+  EXPECT_EQ(lists.faults.heap_outages.size(), 2u);
+  EXPECT_EQ(lists.faults.pe_slowdowns.size(), 2u);
+  EXPECT_EQ(lists.faults.bus_partitions.size(), 2u);
+  EXPECT_EQ(lists.faults.pe_recoveries.size(), 2u);
+}
+
+// `end` is the last line that holds a token; text after it used to be
+// ignored.
+TEST(Persistence, LoadRefusesTextAfterEnd) {
+  try {
+    (void)loaded("pisces-config v1\nname x\nend\n\ngarbage here\n");
+    ADD_FAILURE() << "loaded";
+  } catch (const std::runtime_error& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("line 5: 'garbage' after 'end'"), std::string::npos) << what;
+  }
+  EXPECT_EQ(loaded("pisces-config v1\nname x\nend\n\n  \n").name, "x");
+}
+
 TEST(Menu, RefusesValuesValidateReports) {
   ConfigMenu menu;
   std::ostringstream setup;

@@ -163,6 +163,41 @@ TEST_P(SharedHeapPropertyTest, RandomWorkloadPreservesInvariants) {
 INSTANTIATE_TEST_SUITE_P(Seeds, SharedHeapPropertyTest,
                          ::testing::Values(1u, 2u, 3u, 17u, 12345u));
 
+// Pins which block every allocation gets (exact best fit, lowest offset on
+// ties): a fingerprint of each offset a seeded alloc/release sequence
+// returns, and of the free list's shape after every step. The value was
+// recorded with the earlier allocator that searched 48 power-of-two size
+// classes, so any allocator that picks differently fails here.
+TEST(SharedHeap, SeededPicksArePinned) {
+  std::uint64_t fingerprint = 0xcbf29ce484222325ull;  // FNV-1a over words
+  auto mix = [&fingerprint](std::uint64_t v) {
+    fingerprint = (fingerprint ^ v) * 0x100000001b3ull;
+  };
+  for (std::uint64_t seed : {1u, 2u, 1987u}) {  // distinct after Rng's seed | 1
+    SharedHeap heap(256 * 1024);
+    sim::Rng rng(seed);
+    std::vector<std::size_t> live;
+    for (int step = 0; step < 20'000; ++step) {
+      if (live.empty() || rng.below(100) < 55) {
+        // Log-uniform sizes from 1 byte to 64 KiB: small and large requests
+        // mix, and the large ones meet a fragmented heap.
+        auto got = heap.allocate(1 + rng.below(std::uint64_t{1} << rng.below(17)));
+        mix(got.value_or(~std::size_t{0}));
+        if (got.has_value()) live.push_back(*got);
+      } else {
+        const std::size_t i = rng.below(live.size());
+        heap.release(live[i]);
+        live[i] = live.back();
+        live.pop_back();
+      }
+      mix(heap.largest_free_block());
+      mix(heap.free_block_count());
+    }
+    mix(heap.failed_allocations());
+  }
+  EXPECT_EQ(fingerprint, 13173753075212371830ull);
+}
+
 TEST(Bus, SerializesOverlappingTransfers) {
   Bus bus;
   EXPECT_EQ(bus.transfer(0, 10), 10);
