@@ -26,7 +26,6 @@ class MessageQueue {
   [[nodiscard]] const_iterator end() const { return messages_.end(); }
   [[nodiscard]] iterator begin() { return messages_.begin(); }
   [[nodiscard]] iterator end() { return messages_.end(); }
-  [[nodiscard]] const Message& front() const { return messages_.front(); }
 
   void push_back(Message m) { messages_.push_back(std::move(m)); }
 

@@ -1,9 +1,21 @@
 #include "flex/shared_heap.hpp"
 
 #include <algorithm>
+#include <iterator>
 #include <stdexcept>
+#include <string>
 
 namespace pisces::flex {
+
+namespace {
+/// First block at or after `offset` in an address-ordered list.
+template <typename Blocks>
+auto at_or_after(Blocks& blocks, std::size_t offset) {
+  return std::lower_bound(
+      blocks.begin(), blocks.end(), offset,
+      [](const auto& b, std::size_t off) { return b.offset < off; });
+}
+}  // namespace
 
 std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
   if (outage_) {
@@ -11,16 +23,29 @@ std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
     return std::nullopt;
   }
   const std::size_t need = round_up(std::max<std::size_t>(bytes, 1));
-  auto fit = by_size_.lower_bound({need, 0});  // smallest fit, lowest offset
-  if (fit == by_size_.end()) {
+  // Smallest block that fits, the first in address order among equal sizes.
+  auto fit = free_.end();
+  for (auto it = free_.begin(); it != free_.end(); ++it) {
+    if (it->size < need || (fit != free_.end() && it->size >= fit->size)) continue;
+    fit = it;
+    if (it->size == need) break;  // nothing fits closer
+  }
+  if (fit == free_.end()) {
     ++failed_allocations_;
     return std::nullopt;
   }
-  const auto [size, offset] = *fit;
-  by_size_.erase(fit);
-  free_blocks_.erase(offset);
-  if (size > need) insert_free(offset + need, size - need);
-  allocated_[offset] = need;
+  const std::size_t offset = fit->offset;
+  if (fit->size > need) {
+    fit->offset += need;
+    fit->size -= need;
+  } else {
+    free_.erase(fit);
+  }
+  live_.insert(at_or_after(live_, offset), Block{offset, need});
+  // Free blocks are never adjacent, so there are at most live + 1 of them:
+  // with room for that many, neither list grows once the live count has
+  // peaked.
+  if (free_.capacity() <= live_.capacity()) free_.reserve(live_.capacity() + 1);
   in_use_ += need;
   peak_in_use_ = std::max(peak_in_use_, in_use_);
   ++total_allocations_;
@@ -28,41 +53,40 @@ std::optional<std::size_t> SharedHeap::allocate(std::size_t bytes) {
 }
 
 void SharedHeap::release(std::size_t offset) {
-  auto it = allocated_.find(offset);
-  if (it == allocated_.end()) {
+  auto it = at_or_after(live_, offset);
+  if (it == live_.end() || it->offset != offset) {
     throw std::logic_error("SharedHeap::release: unknown block offset " +
                            std::to_string(offset));
   }
-  std::size_t start = it->first;
-  std::size_t size = it->second;
-  allocated_.erase(it);
+  const std::size_t size = it->size;
+  live_.erase(it);
   in_use_ -= size;
 
-  // Coalesce with the following free block.
-  auto next = free_blocks_.lower_bound(start);
-  if (next != free_blocks_.end() && start + size == next->first) {
-    size += next->second;
-    next = erase_free(next);
+  // Coalesce with the free blocks on either side, if they touch.
+  auto next = at_or_after(free_, offset);
+  const bool joins_next = next != free_.end() && offset + size == next->offset;
+  const bool joins_prev = next != free_.begin() &&
+                          std::prev(next)->offset + std::prev(next)->size == offset;
+  if (joins_prev) {
+    std::prev(next)->size += size + (joins_next ? next->size : 0);
+    if (joins_next) free_.erase(next);
+  } else if (joins_next) {
+    next->offset = offset;
+    next->size += size;
+  } else {
+    free_.insert(next, Block{offset, size});
   }
-  // Coalesce with the preceding free block.
-  if (next != free_blocks_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->first + prev->second == start) {
-      start = prev->first;
-      size += prev->second;
-      erase_free(prev);
-    }
-  }
-  insert_free(start, size);
 }
 
 std::size_t SharedHeap::block_size(std::size_t offset) const {
-  auto it = allocated_.find(offset);
-  return it == allocated_.end() ? 0 : it->second;
+  auto it = at_or_after(live_, offset);
+  return it == live_.end() || it->offset != offset ? 0 : it->size;
 }
 
 std::size_t SharedHeap::largest_free_block() const {
-  return by_size_.empty() ? 0 : by_size_.rbegin()->first;
+  std::size_t largest = 0;
+  for (const Block& b : free_) largest = std::max(largest, b.size);
+  return largest;
 }
 
 double SharedHeap::fragmentation() const {

@@ -64,7 +64,7 @@ void Kernel::maybe_dispatch() {
   if (halted_) return;
   while (current_ == nullptr && !ready_.empty()) {
     Proc* p = ready_.front();
-    ready_.pop_front();
+    ready_.erase(ready_.begin());
     if (p->finished_) continue;
     current_ = p;
     slice_used_ = 0;

@@ -5,12 +5,29 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <type_traits>
+#include <utility>
 
 #include "core/runtime.hpp"
 #include "trace/analyzer.hpp"
 
 namespace pisces::rt {
 namespace {
+
+// A spec built on a temporary stays an rvalue through every builder, so
+// accept()'s by-value parameter is moved into, not copied; a named spec's
+// builders still return it by reference.
+static_assert(std::is_same_v<decltype(AcceptSpec{}.of("t")), AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(AcceptSpec{}.all_of("t")), AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(AcceptSpec{}.total(1)), AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(AcceptSpec{}.delay_for(1)), AcceptSpec&&>);
+static_assert(std::is_same_v<decltype(AcceptSpec{}.forever()), AcceptSpec&&>);
+using NamedSpec = AcceptSpec&;
+static_assert(std::is_same_v<decltype(std::declval<NamedSpec>().of("t")), AcceptSpec&>);
+static_assert(std::is_same_v<decltype(std::declval<NamedSpec>().all_of("t")), AcceptSpec&>);
+static_assert(std::is_same_v<decltype(std::declval<NamedSpec>().total(1)), AcceptSpec&>);
+static_assert(std::is_same_v<decltype(std::declval<NamedSpec>().delay_for(1)), AcceptSpec&>);
+static_assert(std::is_same_v<decltype(std::declval<NamedSpec>().forever()), AcceptSpec&>);
 
 struct Fixture {
   sim::Engine eng;

@@ -549,7 +549,7 @@ TEST(Stats, MessageAccountingBalances) {
   EXPECT_GT(f->stats().message_bytes_sent, 0u);
 }
 
-TEST(MessageQueue, TypeIndexTracksArrivalOrder) {
+TEST(MessageQueue, FirstOfTracksArrivalOrder) {
   MessageQueue q;
   auto mk = [](std::string type, std::uint64_t seq) {
     Message m;

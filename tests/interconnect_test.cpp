@@ -205,8 +205,8 @@ TEST(PartitionIndex, MatchesBruteForceUnderRandomQueries) {
       return pair && now >= w.from && now < w.until;
     });
   };
-  // Mostly-monotonic queries with occasional rewinds, like tests replaying
-  // earlier ticks after the cursor advanced.
+  // Mostly-monotonic queries with occasional jumps back in time, like
+  // tests replaying earlier ticks.
   sim::Tick now = 0;
   for (int q = 0; q < 3000; ++q) {
     if (rng.below(10) == 0) {
@@ -229,11 +229,10 @@ TEST(PartitionIndex, QuietAfterAllWindowsExpire) {
   }
   PartitionIndex index(windows);
   EXPECT_TRUE(index.active(1, 2, 500));
-  // Once past every window, the active set drains: later queries scan
-  // nothing (behaviourally: they still answer correctly).
+  // Past every window, no pair is cut off.
   EXPECT_FALSE(index.active(1, 2, 2'000));
   EXPECT_FALSE(index.active(2, 1, 2'001));
-  // Rewinds after the drain still answer from the sorted list.
+  // Earlier ticks still answer as before, whatever was asked in between.
   EXPECT_TRUE(index.active(2, 1, 500));
   EXPECT_FALSE(index.active(1, 3, 500));
 }
