@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <stdexcept>
+#include <type_traits>
 
 #include "core/runtime.hpp"
 
@@ -290,6 +291,7 @@ bool Transport::deliver(Message msg, TaskId to, bool to_reply_queue) {
     ++stats.reliable_copies_arrived;
     if (!ch.ack_pending) {
       ch.ack_pending = true;
+      static_assert(std::is_trivially_copyable_v<ChannelKey>);
       rt_->engine().schedule(
           rt_->engine().now() + rt_->cfg_.reliable.ack_flush_ticks,
           [this, key] { flush_acks(key); });
@@ -413,8 +415,8 @@ void Transport::retransmit_fire(ChannelKey key, sim::EventSlot slot) {
       const std::size_t index = static_cast<std::size_t>(it - ch.unacked.begin());
       const int attempt = ++it->attempts;
       Message m{.type = it->type, .sender = it->from, .args = it->args,
-                .chan_seq = it->seq, .chan_from = key.first, .chan_to = key.second};
-      const Route r{it->to, it->to_reply_queue, key.first, key.first, key.second};
+                .chan_seq = it->seq, .chan_from = key.from, .chan_to = key.to};
+      const Route r{it->to, it->to_reply_queue, key.from, key.from, key.to};
       // Timers run proc-less, so allocation cannot block; a full heap costs
       // the attempt (the budget still bounds total work under a persistent
       // outage) and the next check tries again.
@@ -445,12 +447,11 @@ void Transport::flush_acks(ChannelKey key) {
   // _CHILDTERM): losing one would only cause benign retransmissions, and
   // the exemption keeps the per-transfer fault-draw count a pure function
   // of application traffic on both engine backends.
-  rt_->machine().message_transfer(rt_->engine().now(), 8, key.second,
-                                  key.first);
+  rt_->machine().message_transfer(rt_->engine().now(), 8, key.to, key.from);
   ++rt_->stats_.acks_sent;
-  rt_->trace_event(trace::EventKind::ack, {}, {}, key.second, ch.settled_to,
-                   "chan " + std::to_string(key.first) + "->" +
-                       std::to_string(key.second));
+  rt_->trace_event(trace::EventKind::ack, {}, {}, key.to, ch.settled_to,
+                   "chan " + std::to_string(key.from) + "->" +
+                       std::to_string(key.to));
   // Acked messages leave the buffer; a timer queued for one of them fires
   // with nothing to resend and re-arms for the rest.
   std::erase_if(ch.unacked,

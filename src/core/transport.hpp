@@ -1,5 +1,6 @@
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -7,7 +8,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "core/message.hpp"
@@ -141,7 +141,14 @@ class Transport {
     }
     void settle(std::uint64_t seq);
   };
-  using ChannelKey = std::pair<int, int>;  ///< (sender PE, receiver PE)
+  /// A channel's (sender PE, receiver PE). Trivially copyable, unlike
+  /// std::pair, so an event closure capturing it with `this` fits
+  /// std::function's inline buffer.
+  struct ChannelKey {
+    int from = 0;
+    int to = 0;
+    friend auto operator<=>(const ChannelKey&, const ChannelKey&) = default;
+  };
 
   /// Stamp `msg` with its channel sequence, buffer it, and reserve the place
   /// of its first retransmit check.

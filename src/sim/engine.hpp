@@ -56,6 +56,12 @@ struct EventSlot {
 /// cannot reorder any other event, so trajectories are the same as without
 /// it; only events_fired() is lower.
 ///
+/// Fiber stacks: a process takes a stack when its body first runs and hands
+/// it back when the body finishes; the next process to start reuses the
+/// stack returned last, and a new one is mapped only when none is spare.
+/// So the engine never holds more stacks than the most fibers ever live at
+/// once, and unmaps them when it is destroyed.
+///
 /// An Engine and all its processes run on the thread that constructed it.
 class Engine {
  public:
@@ -130,7 +136,7 @@ class Engine {
 
   /// Move finished processes out of the live set so scans stay proportional
   /// to live processes. Their heavy state (stack/thread, body storage) was
-  /// already released when the body finished; what remains is a small
+  /// already given up when the body finished; what remains is a small
   /// tombstone kept alive so references returned by spawn() stay valid.
   /// Runs automatically every few hundred finishes during run(); public so
   /// long-lived sessions with dynamic task churn can force it at a barrier.
@@ -151,6 +157,8 @@ class Engine {
   [[nodiscard]] std::size_t reaped_process_count() const {
     return tombstones_.size();
   }
+  /// Fiber stacks this engine has mapped, in use or spare (0 on threads).
+  [[nodiscard]] std::size_t fiber_stacks() const { return stacks_made_; }
 
  private:
   friend class Process;
@@ -170,8 +178,12 @@ class Engine {
   /// Drop the reserved ticks the clock has reached, then move it to the
   /// earliest one left if that is at most `limit`. Returns whether it moved.
   bool pass_reservation(Tick limit);
-  /// Instantiate the configured backend for a process about to start.
+  /// Instantiate the configured backend for a process about to start, on
+  /// the spare fiber stack returned last if there is one.
   std::unique_ptr<detail::ProcessBackend> make_backend(Process& p);
+  /// Dispose of a finished process's backend: its fiber stack goes to the
+  /// spare list, its thread is joined.
+  void retire_backend(std::unique_ptr<detail::ProcessBackend> backend);
 
   /// Batch size for automatic reaping: big enough that the move is
   /// amortized, small enough that churny sessions stay flat.
@@ -193,6 +205,9 @@ class Engine {
   /// Ticks of the places reserved and never filled, as a min-heap; ticks
   /// the clock has reached are dropped lazily.
   std::vector<Tick> reserved_;
+  /// Stacks of finished fibers, taken from the back by the next to start.
+  std::vector<fiber::Stack> spare_stacks_;
+  std::size_t stacks_made_ = 0;
 };
 
 }  // namespace pisces::sim

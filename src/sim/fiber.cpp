@@ -1,10 +1,13 @@
 #include "sim/fiber.hpp"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
 #include <new>
+#include <system_error>
+#include <utility>
 
 extern "C" void pisces_fiber_entry(void* ctx);
 
@@ -20,6 +23,9 @@ extern "C" void pisces_fiber_entry(void* ctx);
 #if PISCES_SIM_FIBER_ANNOTATE
 #include <pthread.h>
 #include <sanitizer/common_interface_defs.h>
+#endif
+#if PISCES_SIM_FIBER_ASAN
+#include <sanitizer/asan_interface.h>
 #endif
 
 // ---------------------------------------------------------------------------
@@ -176,7 +182,12 @@ Stack::Stack(std::size_t usable_bytes) {
 #endif
   void* p = ::mmap(nullptr, size_, PROT_READ | PROT_WRITE, flags, -1, 0);
   if (p == MAP_FAILED) throw std::bad_alloc();
-  ::mprotect(p, guard_, PROT_NONE);
+  if (::mprotect(p, guard_, PROT_NONE) != 0) {
+    const int err = errno;
+    ::munmap(p, size_);
+    throw std::system_error(err, std::generic_category(),
+                            "fiber stack guard page");
+  }
   base_ = p;
 #else
   guard_ = 0;
@@ -192,6 +203,18 @@ Stack::~Stack() {
 #else
   ::operator delete(base_, std::align_val_t{16});
 #endif
+}
+
+Stack::Stack(Stack&& other) noexcept
+    : base_(std::exchange(other.base_, nullptr)),
+      size_(std::exchange(other.size_, 0)),
+      guard_(std::exchange(other.guard_, 0)) {}
+
+Stack& Stack::operator=(Stack&& other) noexcept {
+  std::swap(base_, other.base_);
+  std::swap(size_, other.size_);
+  std::swap(guard_, other.guard_);
+  return *this;
 }
 
 void* Stack::limit() const {
@@ -224,6 +247,9 @@ void make(Context& ctx, const Stack& stack, Entry entry, void* arg) {
 #if PISCES_SIM_FIBER_ASAN
   ctx.stack_bottom = stack.limit();
   ctx.stack_size = stack.usable_bytes();
+  // A finished fiber never returns from its outermost frames, so their
+  // redzones stay poisoned; the next fiber on this stack starts clean.
+  __asan_unpoison_memory_region(stack.limit(), stack.usable_bytes());
 #endif
 #if PISCES_SIM_FIBER_ASM
   auto* top = static_cast<unsigned char*>(stack.top());

@@ -65,14 +65,17 @@ struct Context {
 /// the low end. The kernel commits pages on first touch, so a generous
 /// reservation costs only the memory a fiber actually uses; overflow hits
 /// the guard page (deterministic fault) instead of silently corrupting the
-/// neighbouring allocation.
+/// neighbouring allocation. The constructor throws when it cannot map the
+/// stack or protect its guard page. A stack is movable, so one fiber's stack
+/// can serve the next (the Engine keeps finished fibers' stacks for that);
+/// the mapping is released with the last owner.
 class Stack {
  public:
   Stack() = default;
   explicit Stack(std::size_t usable_bytes);
   ~Stack();
-  Stack(const Stack&) = delete;
-  Stack& operator=(const Stack&) = delete;
+  Stack(Stack&& other) noexcept;
+  Stack& operator=(Stack&& other) noexcept;
 
   [[nodiscard]] bool allocated() const { return base_ != nullptr; }
   /// Lowest usable address (just above the guard page).
@@ -91,7 +94,9 @@ class Stack {
 std::size_t default_stack_bytes();
 
 /// Prepare `ctx` so the first switch_to() into it calls `entry(arg)` at the
-/// top of `stack`. The stack must outlive the fiber.
+/// top of `stack`. The stack must outlive the fiber; it may have served a
+/// fiber that has finished (under ASan the shadow its frames left is
+/// cleared here).
 void make(Context& ctx, const Stack& stack, Entry entry, void* arg);
 
 /// Capture the host thread's identity into `ctx` so fibers can switch back

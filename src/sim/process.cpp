@@ -4,6 +4,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <thread>
+#include <utility>
 
 #include "sim/engine.hpp"
 #include "sim/fiber.hpp"
@@ -19,21 +20,22 @@ namespace {
 /// on the engine's host thread; resume/suspend are single context swaps.
 class FiberBackend final : public ProcessBackend {
  public:
-  FiberBackend(Process& proc, fiber::Context& host)
-      : proc_(proc), host_(host), stack_(fiber::default_stack_bytes()) {
+  FiberBackend(Process& proc, fiber::Context& host, fiber::Stack stack)
+      : proc_(proc), host_(host), stack_(std::move(stack)) {
     fiber::make(ctx_, stack_, &FiberBackend::entry, this);
   }
 
   void resume() override { fiber::switch_to(host_, ctx_); }
   void suspend() override { fiber::switch_to(ctx_, host_); }
+  fiber::Stack take_stack() override { return std::move(stack_); }
 
  private:
   static void entry(void* self_v) {
     auto* self = static_cast<FiberBackend*>(self_v);
     run_body(self->proc_);
     // The body has fully unwound; this fiber is never resumed again, so the
-    // dying switch lets ASan retire its fake stack and run_slice free the
-    // real one.
+    // dying switch lets ASan retire its fake stack and run_slice hand the
+    // real one to the next process.
     fiber::switch_to(self->ctx_, self->host_, /*from_dying=*/true);
     std::abort();  // unreachable: nothing switches back into a dead fiber
   }
@@ -103,7 +105,20 @@ std::unique_ptr<detail::ProcessBackend> Engine::make_backend(Process& p) {
   if (backend_ == Backend::threads) {
     return std::make_unique<detail::ThreadBackend>(p);
   }
-  return std::make_unique<detail::FiberBackend>(p, host_ctx_);
+  fiber::Stack stack;
+  if (spare_stacks_.empty()) {
+    stack = fiber::Stack(fiber::default_stack_bytes());
+    ++stacks_made_;
+  } else {
+    stack = std::move(spare_stacks_.back());
+    spare_stacks_.pop_back();
+  }
+  return std::make_unique<detail::FiberBackend>(p, host_ctx_, std::move(stack));
+}
+
+void Engine::retire_backend(std::unique_ptr<detail::ProcessBackend> backend) {
+  fiber::Stack stack = backend->take_stack();
+  if (stack.allocated()) spare_stacks_.push_back(std::move(stack));
 }
 
 Process::Process(Engine& engine, std::uint64_t id, std::string name, Body body)
@@ -143,9 +158,9 @@ void Process::run_slice() {
   }
   state_ = State::running;
   backend_->resume();
-  // Once the body has finished its stack/thread is dead weight; drop it now
-  // rather than at reap time so churny workloads stay flat.
-  if (state_ == State::finished) backend_.reset();
+  // Give the stack/thread up now rather than at reap time, so the next
+  // process to start reuses the stack and churny workloads stay flat.
+  if (state_ == State::finished) engine_.retire_backend(std::move(backend_));
 }
 
 void Process::switch_to_engine() { backend_->suspend(); }

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 
+#include "sim/fiber.hpp"
 #include "sim/time.hpp"
 
 namespace pisces::sim {
@@ -30,6 +31,9 @@ class ProcessBackend {
   virtual void resume() = 0;
   /// Body side: transfer control back to the engine loop.
   virtual void suspend() = 0;
+  /// Engine side, once the body has finished: the stack it ran on, for the
+  /// next process to start on. A thread has none to give.
+  virtual fiber::Stack take_stack() { return {}; }
 
  protected:
   /// Runs the process's body wrapper on the backend's stack (backends are
@@ -52,8 +56,10 @@ struct ProcessKilled {};
 /// consistent `engine().now()` and the whole simulation is deterministic
 /// regardless of the backing substrate (fibers or host threads).
 ///
-/// Stacks are lazy: no fiber stack (or thread) exists until the first time
-/// the body actually runs, and it is released as soon as the body finishes.
+/// Stacks are lazy: a process holds no fiber stack (or thread) until the
+/// first time the body actually runs, and gives it up as soon as the body
+/// finishes: a fiber's stack goes back to the Engine for the next process
+/// to start, a thread is joined.
 class Process {
  public:
   using Body = std::function<void(Process&)>;
@@ -102,7 +108,7 @@ class Process {
   void body_main();
   /// Engine side: hand control to the body; returns when the process
   /// blocks, yields, or finishes. Creates the backend on first use and
-  /// releases it (stack freed / thread joined) once the body has finished.
+  /// retires it (stack spare / thread joined) once the body has finished.
   void run_slice();
   /// Process side: hand control back to the engine loop.
   void switch_to_engine();

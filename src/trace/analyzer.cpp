@@ -10,16 +10,52 @@
 
 namespace pisces::trace {
 
+namespace {
+
+template <typename Int>
+void append_number(std::string& out, Int value) {
+  std::array<char, 24> digits{};  // an int64 or uint64 takes at most 20
+  char* end =
+      std::to_chars(digits.data(), digits.data() + digits.size(), value).ptr;
+  out.append(digits.data(), end);
+}
+
+void append_taskid(std::string& out, const rt::TaskId& id) {
+  append_number(out, id.cluster);
+  out += ':';
+  append_number(out, id.slot);
+  out += ':';
+  append_number(out, id.unique);
+}
+
+}  // namespace
+
 std::string Record::format() const {
-  std::ostringstream os;
-  os << "TRACE " << kind_name(kind) << " t=" << at << " pe=" << pe
-     << " task=" << task.cluster << ':' << task.slot << ':' << task.unique;
+  // The longest line without its info: every name and number at its widest.
+  constexpr std::size_t kWidest = 192;
+  std::string out;
+  out.reserve(kWidest + info.size());
+  out += "TRACE ";
+  out += kind_name(kind);
+  out += " t=";
+  append_number(out, at);
+  out += " pe=";
+  append_number(out, pe);
+  out += " task=";
+  append_taskid(out, task);
   if (other.valid()) {
-    os << " other=" << other.cluster << ':' << other.slot << ':' << other.unique;
+    out += " other=";
+    append_taskid(out, other);
   }
-  if (seq != 0) os << " seq=" << seq;
-  if (!info.empty()) os << " info=" << info;
-  return os.str();
+  if (seq != 0) {
+    out += " seq=";
+    append_number(out, seq);
+  }
+  if (!info.empty()) {
+    out += " info=";
+    out += info;
+  }
+  return out;
 }
 
 Analyzer::Analyzer(std::vector<Record> records) : records_(std::move(records)) {}

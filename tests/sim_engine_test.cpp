@@ -336,12 +336,13 @@ TEST(EventQueue, SameTickFastPathReportsSizeAndNextTick) {
 
 class BackendTest : public ::testing::TestWithParam<Backend> {};
 
-INSTANTIATE_TEST_SUITE_P(
-    Backends, BackendTest,
-    ::testing::Values(Backend::fibers, Backend::threads),
-    [](const ::testing::TestParamInfo<Backend>& info) {
-      return info.param == Backend::fibers ? "fibers" : "threads";
-    });
+std::string backend_name(const ::testing::TestParamInfo<Backend>& info) {
+  return info.param == Backend::fibers ? "fibers" : "threads";
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, BackendTest,
+                         ::testing::Values(Backend::fibers, Backend::threads),
+                         backend_name);
 
 TEST_P(BackendTest, KillBeforeStartSkipsBodyAndAllocatesNothing) {
   Engine eng(GetParam());
@@ -794,6 +795,136 @@ TEST_P(BackendTest, ReapLeavesLiveProcessesScannable) {
   ASSERT_EQ(blocked.size(), 1u);
   EXPECT_EQ(blocked[0]->name(), "stuck");
   EXPECT_EQ(eng.live_process_count(), 1u);
+}
+
+// ---------------------------------------------------------------------------
+// Stack recycling: a finished fiber's stack serves the next process to start,
+// so an engine maps no more stacks than the most fibers ever live at once.
+// ctest runs this suite a second time at the smallest stack
+// PISCES_SIM_STACK_KB allows.
+// ---------------------------------------------------------------------------
+
+class StackRecycling : public ::testing::TestWithParam<Backend> {};
+
+INSTANTIATE_TEST_SUITE_P(Backends, StackRecycling,
+                         ::testing::Values(Backend::fibers, Backend::threads),
+                         backend_name);
+
+/// Stacks an engine should have made for `fibers` processes live at once
+/// (under TSan both parameters run on threads, which make none).
+std::size_t stacks_for(const Engine& eng, std::size_t fibers) {
+  return eng.backend() == Backend::fibers ? fibers : 0;
+}
+
+TEST_P(StackRecycling, OneAfterAnotherShareOneStack) {
+  Engine eng(GetParam());
+  int finished = 0;
+  for (int i = 0; i < 1000; ++i) {
+    Process& p = eng.spawn("seq", [&eng, &finished](Process& self) {
+      self.sleep_until(eng.now() + 1);
+      ++finished;
+    });
+    eng.schedule(2 * i, [&eng, &p] { eng.wake(p); });
+  }
+  eng.run();
+  EXPECT_EQ(finished, 1000);
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 1));
+}
+
+TEST_P(StackRecycling, StacksFollowTheMostLiveAtOnce) {
+  Engine eng(GetParam());
+  int finished = 0;
+  const auto block_eight = [&] {
+    std::vector<Process*> batch;
+    for (int i = 0; i < 8; ++i) {
+      Process& p = eng.spawn("blocked", [&finished](Process& self) {
+        self.wait();
+        ++finished;
+      });
+      eng.wake(p);
+      batch.push_back(&p);
+    }
+    return batch;
+  };
+  const auto finish = [&eng](const std::vector<Process*>& batch) {
+    for (Process* p : batch) eng.wake(*p);
+  };
+
+  eng.schedule(0, [&] {
+    const std::vector<Process*> first = block_eight();
+    eng.schedule(10, [&eng, first, &finish] { finish(first); });
+  });
+  eng.run();
+  EXPECT_EQ(finished, 8);
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 8));
+
+  // Eight more at once find eight spare stacks.
+  eng.schedule(20, [&] {
+    const std::vector<Process*> second = block_eight();
+    eng.schedule(30, [&eng] {
+      EXPECT_EQ(eng.blocked_processes().size(), 8u);
+    });
+    eng.schedule(40, [second, &finish] { finish(second); });
+  });
+  eng.run();
+  EXPECT_EQ(finished, 16);
+  EXPECT_EQ(eng.live_process_count(), 0u);
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 8));
+}
+
+TEST_P(StackRecycling, KilledBeforeStartTakesNoStack) {
+  Engine eng(GetParam());
+  bool ran = false;
+  Process& p = eng.spawn("t", [&](Process&) { ran = true; });
+  eng.schedule(0, [&] { eng.kill(p); });
+  eng.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(eng.fiber_stacks(), 0u);
+}
+
+TEST_P(StackRecycling, KilledInTimedWaitReturnsItsStack) {
+  Engine eng(GetParam());
+  Process& victim = eng.spawn("victim", [&eng](Process& self) {
+    (void)self.wait_until(eng.now() + 100);
+  });
+  eng.schedule(0, [&] { eng.wake(victim); });
+  eng.schedule(50, [&] { eng.kill(victim); });
+  eng.run();
+  EXPECT_EQ(victim.state(), Process::State::finished);
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 1));
+
+  bool ran = false;
+  Process& next = eng.spawn("next", [&ran](Process&) { ran = true; });
+  eng.schedule(200, [&] { eng.wake(next); });
+  eng.run();
+  EXPECT_TRUE(ran);
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 1));
+}
+
+/// Recurses through about `bytes` of stack, one 1 KiB frame per level, and
+/// writes both ends of every frame.
+int recurse(std::size_t bytes) {
+  std::array<volatile char, 1024> frame{};
+  frame.front() = 1;
+  frame.back() = 2;
+  const int below = bytes > frame.size() ? recurse(bytes - frame.size()) : 0;
+  return below + frame.front() + frame.back();
+}
+
+TEST_P(StackRecycling, RecycledStackHoldsHalfItsSizeOfFrames) {
+  Engine eng(GetParam());
+  const std::size_t half = fiber::default_stack_bytes() / 2;
+  std::vector<int> sums;
+  for (int i = 0; i < 2; ++i) {
+    Process& p = eng.spawn("deep", [&sums, half](Process&) {
+      sums.push_back(recurse(half));
+    });
+    eng.schedule(i, [&eng, &p] { eng.wake(p); });
+  }
+  eng.run();
+  const int levels = static_cast<int>((half + 1023) / 1024);
+  EXPECT_EQ(sums, (std::vector<int>{3 * levels, 3 * levels}));
+  EXPECT_EQ(eng.fiber_stacks(), stacks_for(eng, 1));
 }
 
 TEST(Engine, LongChurnSessionsReapAutomatically) {

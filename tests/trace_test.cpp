@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <set>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -79,6 +80,63 @@ TEST(Record, FormatContainsTheSectionTwelveFields) {
   EXPECT_NE(line.find("other=1:3:4"), std::string::npos);
   EXPECT_NE(line.find("seq=99"), std::string::npos);
   EXPECT_NE(line.find("info=rows"), std::string::npos);
+}
+
+TEST(Record, FormatWritesExactLines) {
+  // Whole lines, byte for byte (trace files and the trace-line hashes pinned
+  // elsewhere depend on them): every kind name, the default taskid, an
+  // invalid `other` left out, the widest numbers, and an empty info left out.
+  constexpr std::uint64_t kMax = UINT64_MAX;
+  const rt::TaskId a{2, 5, 17};
+  const rt::TaskId b{1, 3, 4};
+  const rt::TaskId widest{INT32_MIN, INT32_MAX, kMax};
+  const rt::TaskId invalid{4, 6, 0};
+  const auto record = [](EventKind k, sim::Tick at, int pe, rt::TaskId task,
+                         rt::TaskId other, std::uint64_t seq, std::string info) {
+    return Record{k, at, pe, task, other, seq, std::move(info)};
+  };
+  const std::vector<std::pair<Record, std::string>> cases = {
+      {Record{}, "TRACE TASK-INIT t=0 pe=0 task=0:-1:0"},
+      {record(EventKind::task_term, sim::kForever, 3, a, {}, 0, ""),
+       "TRACE TASK-TERM t=9223372036854775807 pe=3 task=2:5:17"},
+      {record(EventKind::msg_send, 1234, 3, a, b, 99, "rows"),
+       "TRACE MSG-SEND t=1234 pe=3 task=2:5:17 other=1:3:4 seq=99 info=rows"},
+      {record(EventKind::msg_accept, 0, 0, b, invalid, kMax, ""),
+       "TRACE MSG-ACCEPT t=0 pe=0 task=1:3:4 seq=18446744073709551615"},
+      {record(EventKind::lock, 7, -1, widest, {}, 0, "L"),
+       "TRACE LOCK t=7 pe=-1 task=-2147483648:2147483647:18446744073709551615"
+       " info=L"},
+      {record(EventKind::unlock, 8, INT32_MAX, a, widest, 1, ""),
+       "TRACE UNLOCK t=8 pe=2147483647 task=2:5:17"
+       " other=-2147483648:2147483647:18446744073709551615 seq=1"},
+      {record(EventKind::barrier_enter, -5, 1, {}, {}, 0, "a b=c  d= "),
+       "TRACE BARRIER t=-5 pe=1 task=0:-1:0 info=a b=c  d= "},
+      {record(EventKind::force_split, 100, 2, a, {}, 0, "members=3"),
+       "TRACE FORCE-SPLIT t=100 pe=2 task=2:5:17 info=members=3"},
+      {record(EventKind::dead_letter, 200, 4, b, a, 12, "ping"),
+       "TRACE DEAD-LETTER t=200 pe=4 task=1:3:4 other=2:5:17 seq=12 info=ping"},
+      {record(EventKind::fault, 300, 7, {}, invalid, 0, "pe-halt pe 7"),
+       "TRACE FAULT t=300 pe=7 task=0:-1:0 info=pe-halt pe 7"},
+      {record(EventKind::child_term, 400, 1, b, a, 0, "killed"),
+       "TRACE CHILD-TERM t=400 pe=1 task=1:3:4 other=2:5:17 info=killed"},
+      {record(EventKind::collective, 500, 2, a, {}, 0, "barrier members=3 k=4"),
+       "TRACE COLLECTIVE t=500 pe=2 task=2:5:17 info=barrier members=3 k=4"},
+      {record(EventKind::supervision, 600, 0, a, b, 0, "restart 1"),
+       "TRACE SUPERVISION t=600 pe=0 task=2:5:17 other=1:3:4 info=restart 1"},
+      {record(EventKind::retransmit, 700, 3, a, b, 5, "unit #2"),
+       "TRACE RETRANSMIT t=700 pe=3 task=2:5:17 other=1:3:4 seq=5 info=unit #2"},
+      {record(EventKind::ack, 800, 4, {}, {}, 6, "chan 3->4"),
+       "TRACE ACK t=800 pe=4 task=0:-1:0 seq=6 info=chan 3->4"},
+      {record(EventKind::dup_drop, 900, 4, b, a, kMax, "unit"),
+       "TRACE DUP-DROP t=900 pe=4 task=1:3:4 other=2:5:17"
+       " seq=18446744073709551615 info=unit"},
+  };
+  std::set<EventKind> kinds;
+  for (const auto& [r, line] : cases) {
+    EXPECT_EQ(r.format(), line);
+    kinds.insert(r.kind);
+  }
+  EXPECT_EQ(kinds.size(), static_cast<std::size_t>(kEventKindCount));
 }
 
 TEST(Analyzer, ParseRoundTripsFormattedLines) {
