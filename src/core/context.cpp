@@ -206,17 +206,25 @@ void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
   rt_->trace_event(trace::EventKind::force_split, self(), {}, proc_->pe(), 0,
                    "members=" + std::to_string(n));
   proc_->compute(rt_->costs().forcesplit_per_member * n);
+  // A member placed on a halted PE could never pass a barrier, so the task
+  // ends here, as Runtime::on_pe_halt ends one whose force is running when
+  // a PE halts (the halt may have come during the charge above).
+  if (std::any_of(secondaries.begin(), secondaries.end(),
+                  [this](int pe) { return !rt_->pe_usable(pe); })) {
+    proc_->kill();
+    throw sim::ProcessKilled{};
+  }
 
   auto st = std::make_shared<ForceState>();
   st->members = n;
   st->rec = rec_;
   st->procs.assign(static_cast<std::size_t>(n), nullptr);
   st->procs[0] = proc_;
+  st->engine = &rt_->engine();
   st->fanout = rt_->cfg_.collective_fanout;
   st->nodes.assign(static_cast<std::size_t>(n), ForceState::TreeNode{});
   st->partial.assign(static_cast<std::size_t>(n), 0.0);
 
-  std::vector<mmos::Proc*> members;
   for (int i = 2; i <= n; ++i) {
     const int pe = secondaries[static_cast<std::size_t>(i - 2)];
     // Capture rt/rec by value, never `this`: if the primary is killed, the
@@ -229,24 +237,28 @@ void TaskContext::forcesplit(const std::function<void(ForceContext&)>& region) {
           member_ctx.barrier();  // implicit end-of-region barrier
         });
     st->procs[static_cast<std::size_t>(i - 1)] = &p;
-    mmos::Proc* primary = proc_;
-    p.on_exit([primary] { primary->wake(); });
-    members.push_back(&p);
+    // Wake the primary to re-check the join. A member can outlive it (the
+    // task killed mid-force), so name the task, not the primary's record:
+    // once the task has ended, the record holds no process or another id.
+    p.on_exit([rec = rec_, unique = rec_->id.unique] {
+      if (rec->id.unique == unique && rec->proc != nullptr) rec->proc->wake();
+    });
   }
-  // Record the members so finish_task can reap them if this task is
+  // Record the force so finish_task can reap its members if this task is
   // killed mid-force (otherwise they would block at the barrier forever).
-  rec_->force_members = members;
+  rec_->force = st;
 
   ForceContext fc(*rt_, *rec_, st, 1, *proc_);
   region(fc);
   fc.barrier();  // implicit end-of-region barrier
 
-  // Join: the force's resources (ForceState, this frame) must outlive every
-  // member; wait for the secondary processes to fully exit.
-  for (auto* p : members) {
-    while (!p->finished()) proc_->block();
+  // Join: wait for the secondary processes to fully exit. The last
+  // reference to the force state goes with this frame, and with it the
+  // members' records.
+  for (std::size_t m = 1; m < st->procs.size(); ++m) {
+    while (!st->procs[m]->finished()) proc_->block();
   }
-  rec_->force_members.clear();
+  rec_->force.reset();
 }
 
 SharedBlock& TaskContext::shared_common(const std::string& name,

@@ -44,11 +44,12 @@ void LockVar::acquire(mmos::Proc& p, const TaskRecord& rec) {
   if (locked_) {
     ++contended_;
     waiters_.push_back(&p);
-    // A waiter killed here unwinds via ProcessKilled out of block() without
-    // touching the lock again — the LockVar may already be destroyed by the
-    // time a killed member resumes (finish_task reaps members, then clears
-    // the task's locks). Its stale queue entry is skipped by hand_off().
-    while (owner_ != &p) p.block();
+    try {
+      while (owner_ != &p) p.block();
+    } catch (const sim::ProcessKilled&) {
+      std::erase(waiters_, &p);  // its record may go once it has finished
+      throw;
+    }
   } else {
     locked_ = true;
     owner_ = &p;
@@ -67,8 +68,7 @@ void LockVar::release(mmos::Proc& p, const TaskRecord& rec) {
 }
 
 void LockVar::hand_off() {
-  while (!waiters_.empty() &&
-         (waiters_.front()->finished() || waiters_.front()->was_killed())) {
+  while (!waiters_.empty() && waiters_.front()->was_killed()) {
     waiters_.pop_front();
   }
   if (waiters_.empty()) {
@@ -82,6 +82,13 @@ void LockVar::hand_off() {
 }
 
 // ---- ForceState ----
+
+ForceState::~ForceState() {
+  if (engine->shut_down()) return;
+  for (std::size_t m = 1; m < procs.size(); ++m) {
+    if (procs[m] != nullptr) procs[m]->kernel().release(*procs[m]);
+  }
+}
 
 ForceState::SelfschedLoop& ForceState::loop(std::size_t occurrence,
                                             std::int64_t lo, std::int64_t hi,

@@ -3,6 +3,7 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -52,7 +53,10 @@ class SharedBlock {
 
 /// A LOCK variable (Section 7): "Variables whose values are 'locks' that may
 /// be used to control entry and exit of CRITICAL statements." FIFO handoff;
-/// lock/unlock events are traced.
+/// lock/unlock events are traced. A waiter that is killed leaves the queue
+/// as it unwinds, so the queue only holds processes still waiting; the
+/// lock outlives every force member that can reach it (see
+/// ForceState::task_locks).
 class LockVar {
  public:
   LockVar(Runtime& rt, std::string name) : rt_(&rt), name_(std::move(name)) {}
@@ -67,9 +71,10 @@ class LockVar {
   [[nodiscard]] std::uint64_t contended_acquires() const { return contended_; }
 
  private:
-  /// Pass ownership to the oldest *live* waiter, or unlock if none remain.
-  /// Waiters killed while queued can never enter their critical section, so
-  /// handing them the lock would deadlock everyone queued behind them.
+  /// Pass ownership to the oldest waiter not killed, or unlock if none
+  /// remain. A waiter killed but not yet unwound can never enter its
+  /// critical section, so handing it the lock would deadlock everyone
+  /// queued behind it.
   void hand_off();
 
   Runtime* rt_;
@@ -80,11 +85,31 @@ class LockVar {
   std::uint64_t contended_ = 0;
 };
 
-/// State shared by the members of one force (one FORCESPLIT execution).
+/// State shared by the members of one force (one FORCESPLIT execution),
+/// held by the primary's FORCESPLIT frame and by each member's body. It goes
+/// when the whole force is done: after the primary's join, or, when a kill
+/// ended the task first, once its last member has unwound. Going, it
+/// releases the members' records, so they stay valid for as long as anyone
+/// can reach them through `procs`.
 struct ForceState {
+  ForceState() = default;
+  ForceState(const ForceState&) = delete;
+  ForceState& operator=(const ForceState&) = delete;
+  ~ForceState();
+
   int members = 1;
   TaskRecord* rec = nullptr;
-  std::vector<mmos::Proc*> procs;  ///< index 0 = primary
+  /// Index 0 is the primary, the task's own process: Runtime::finish_task
+  /// releases it, after it has killed every member, so no member reaches it
+  /// once it may be gone.
+  std::vector<mmos::Proc*> procs;
+  /// For the destructor: once the engine has shut down, nothing is
+  /// released (the members' kernels may already be gone).
+  sim::Engine* engine = nullptr;
+  /// The task's LOCK variables when the task ended before its members had
+  /// unwound (Runtime::finish_task hands them over): a member killed in a
+  /// CRITICAL wait or body leaves its lock on the way out.
+  std::map<std::string, std::unique_ptr<LockVar>> task_locks;
 
   // Combining-tree collectives (barrier/reduce): members form a k-ary tree
   // over member indices (member 1 at the root, node p's children are

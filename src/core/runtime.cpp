@@ -261,8 +261,10 @@ void Runtime::on_pe_halt(int pe) {
       TaskRecord& rec = *recp;
       if (rec.state == TaskState::free_slot || rec.proc == nullptr) continue;
       if (rec.pe == pe) continue;  // dies with its kernel anyway
-      for (auto* member : rec.force_members) {
-        if (member->pe() == pe) {
+      const auto force = rec.force.lock();
+      if (force == nullptr) continue;
+      for (std::size_t m = 1; m < force->procs.size(); ++m) {
+        if (force->procs[m]->pe() == pe) {
           rec.proc->kill();
           break;
         }
@@ -312,7 +314,9 @@ void Runtime::reclaim_controllers(Cluster& cl, int pe) {
       transport_.heap_release(m.heap_offset);
     }
     rec.replies.clear();
-    rec.proc = nullptr;  // the process dies with the kernel
+    // The process dies with the kernel; its record goes once it has.
+    if (rec.proc != nullptr) rec.proc->kernel().release(*rec.proc);
+    rec.proc = nullptr;
     rec.state = TaskState::free_slot;
   }
 }
@@ -507,9 +511,15 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   // capture them before the record is scrubbed below.
   std::vector<Value> saved_args;
   if (abnormal && termination_hook_) saved_args = rec.init_args;
-  // Reap force members left behind by a kill mid-force.
-  for (auto* member : rec.force_members) member->kill();
-  rec.force_members.clear();
+  // Reap force members left behind by a kill mid-force. They unwind after
+  // this, so the task's locks go with the force rather than with the task.
+  if (const auto force = rec.force.lock()) {
+    for (std::size_t m = 1; m < force->procs.size(); ++m) {
+      force->procs[m]->kill();
+    }
+    force->task_locks = std::move(rec.locks);
+  }
+  rec.force.reset();
   for (const Message& m : rec.in_queue) transport_.heap_release(m.heap_offset);
   for (const Message& m : rec.replies) transport_.heap_release(m.heap_offset);
   rec.in_queue.clear();
@@ -520,6 +530,9 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   rec.locks.clear();
   rec.init_args.clear();
   if (abnormal) ++stats_.tasks_killed;
+  // This runs as the process's exit callback, so it has finished: the
+  // record goes now unless a queued event still names it.
+  if (rec.proc != nullptr) rec.proc->kernel().release(*rec.proc);
   rec.proc = nullptr;
   rec.state = TaskState::free_slot;
   if (slot >= kFirstUserSlot) cl.free_slots.insert(slot);

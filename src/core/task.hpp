@@ -17,6 +17,7 @@ namespace pisces::rt {
 
 class SharedBlock;
 class LockVar;
+struct ForceState;
 
 enum class TaskState {
   free_slot,  ///< no task in this slot
@@ -61,11 +62,11 @@ struct TaskRecord {
   std::uint32_t next_array_id = 1;
 
   // Force support: shared COMMON blocks and LOCK variables, by name, and
-  // the live force-member processes (reaped if the task is killed
-  // mid-force).
+  // the force the task is running, while it lasts (its members are killed
+  // if the task ends mid-force).
   std::map<std::string, std::unique_ptr<SharedBlock>> shared_blocks;
   std::map<std::string, std::unique_ptr<LockVar>> locks;
-  std::vector<mmos::Proc*> force_members;
+  std::weak_ptr<ForceState> force;
 
   /// Modelled size of one task record in the shared system tables.
   static constexpr std::size_t kTableBytes = 64;

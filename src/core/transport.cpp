@@ -1,6 +1,7 @@
 #include "core/transport.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <stdexcept>
 #include <type_traits>
 
@@ -43,15 +44,17 @@ std::size_t Transport::heap_allocate_blocking(std::size_t bytes,
   sim::Engine& eng = rt_->engine();
   bool retried = false;
   int outage_denials = 0;
-  // Drop this proc's own entry from the waiter FIFO: before it re-joins
-  // (something other than a release, such as a message arriving for its
-  // task, may have woken it), and when its deadline gives up (a later
-  // heap_release must not wake a sender that already moved on).
-  auto leave_queue = [this, proc] {
-    auto it = std::find_if(heap_waiters_.begin(), heap_waiters_.end(),
-                           [proc](const HeapWaiter& w) { return w.proc == proc; });
-    if (it != heap_waiters_.end()) heap_waiters_.erase(it);
-  };
+  // On every way out, a kill's unwind included, leave the waiter FIFO: a
+  // later heap_release must neither wake a sender that already moved on
+  // nor meet one whose record is gone.
+  struct LeaveOnExit {
+    Transport* transport;
+    mmos::Proc* proc;
+    const bool& queued;
+    ~LeaveOnExit() {
+      if (queued) transport->leave_heap_queue(proc);
+    }
+  } leave_on_exit{this, proc, retried};
   while (true) {
     if (deadline > 0 && eng.now() >= deadline) return kDeadline;
     if (heap.outage()) {
@@ -68,27 +71,30 @@ std::size_t Transport::heap_allocate_blocking(std::size_t bytes,
       continue;
     }
     auto off = heap.allocate(bytes);
-    if (off.has_value()) {
-      // Woken by something other than a release, the sender may still
-      // hold its FIFO entry; a later release must not spend budget on it.
-      if (retried) leave_queue();
-      return *off;
-    }
+    if (off.has_value()) return *off;
     if (proc == nullptr) return kNoSpace;
     ++rt_->stats_.heap_full_waits;
     const std::size_t need =
         flex::SharedHeap::round_up(std::max<std::size_t>(bytes, 1));
     // First wait joins the back of the FIFO; a sender whose retry lost to
-    // fragmentation goes back to the front so it keeps its turn.
-    leave_queue();
+    // fragmentation goes back to the front so it keeps its turn. Something
+    // other than a release (a message arriving for its task) may have woken
+    // it, so it may still hold its old entry.
+    leave_heap_queue(proc);
     heap_waiters_.insert(retried ? heap_waiters_.begin() : heap_waiters_.end(),
                          HeapWaiter{proc, need});
     retried = true;
     if (proc->block_with_timeout(deadline > 0 ? deadline : sim::kForever)) {
-      leave_queue();
       return kDeadline;
     }
   }
+}
+
+void Transport::leave_heap_queue(mmos::Proc* proc) {
+  auto it = std::find_if(
+      heap_waiters_.begin(), heap_waiters_.end(),
+      [proc](const HeapWaiter& w) { return w.proc == proc; });
+  if (it != heap_waiters_.end()) heap_waiters_.erase(it);
 }
 
 void Transport::heap_release(std::size_t offset) {
@@ -102,13 +108,13 @@ void Transport::heap_release(std::size_t offset) {
   const std::size_t largest = heap.largest_free_block();
   std::size_t budget = heap.capacity() - heap.in_use();
   for (auto it = heap_waiters_.begin(); it != heap_waiters_.end();) {
-    const bool gone = it->proc->finished();
-    const bool fits = !gone && it->need <= largest && it->need <= budget;
-    if (fits) {
+    if (it->need <= largest && it->need <= budget) {
       budget -= it->need;
       it->proc->wake();
+      it = heap_waiters_.erase(it);
+    } else {
+      ++it;
     }
-    it = gone || fits ? heap_waiters_.erase(it) : std::next(it);
   }
 }
 
@@ -367,8 +373,12 @@ void Transport::arm(ReliableChannel& ch, ChannelKey key, sim::EventSlot slot) {
     return;
   }
   ch.timers.push_back(slot);
-  rt_->engine().schedule_reserved(
-      slot, [this, key, slot] { retransmit_fire(key, slot); });
+  // The closure names the channel only: with its slot it would outgrow
+  // std::function's 16-byte inline buffer and cost an allocation per arm.
+  auto fire = [this, key] { retransmit_fire(key); };
+  static_assert(sizeof(fire) <= 16 &&
+                std::is_trivially_copyable_v<decltype(fire)>);
+  rt_->engine().schedule_reserved(slot, fire);
 }
 
 void Transport::register_reliable(Message& msg, const Route& r) {
@@ -393,9 +403,14 @@ void Transport::register_reliable(Message& msg, const Route& r) {
   arm(ch, key, ch.unacked.back().due);
 }
 
-void Transport::retransmit_fire(ChannelKey key, sim::EventSlot slot) {
+void Transport::retransmit_fire(ChannelKey key) {
   auto& ch = reliable_channels_[key];
-  std::erase(ch.timers, slot);
+  // The channel's timers are exactly its queued closures, and the engine
+  // fires them in slot order: the one firing is the earliest.
+  const auto firing = std::min_element(ch.timers.begin(), ch.timers.end());
+  assert(firing != ch.timers.end());
+  const sim::EventSlot slot = *firing;
+  ch.timers.erase(firing);
   // At most one buffered message is due in this place; it may have been
   // acked meanwhile, and then there is nothing to resend.
   const auto it = std::find_if(ch.unacked.begin(), ch.unacked.end(),

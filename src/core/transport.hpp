@@ -83,6 +83,8 @@ class Transport {
                                      sim::Tick deadline);
   static constexpr std::size_t kNoSpace = static_cast<std::size_t>(-1);
   static constexpr std::size_t kDeadline = static_cast<std::size_t>(-2);
+  /// Drop `proc`'s entry from the heap-waiter FIFO, if it has one.
+  void leave_heap_queue(mmos::Proc* proc);
 
   /// Launch one physical copy, its heap block allocated: bill the bus (on
   /// `sender_proc`'s CPU when a task sends), stamp it, run the fault
@@ -157,10 +159,10 @@ class Transport {
   [[nodiscard]] sim::EventSlot retransmit_slot(int attempts);
   /// Make sure a timer is queued no later than `slot` on the channel.
   void arm(ReliableChannel& ch, ChannelKey key, sim::EventSlot slot);
-  /// The channel's timer at `slot`: retransmit or give up on the message
-  /// due there, if it is still buffered, then re-arm at the earliest `due`
-  /// left.
-  void retransmit_fire(ChannelKey key, sim::EventSlot slot);
+  /// The channel's earliest queued timer fires: retransmit or give up on
+  /// the message due in its place, if it is still buffered, then re-arm at
+  /// the earliest `due` left.
+  void retransmit_fire(ChannelKey key);
   void flush_acks(ChannelKey key);
 
   /// An in-flight TO ALL tree: positions 1..targets.size() of a k-ary tree
@@ -188,8 +190,9 @@ class Transport {
   Runtime* rt_;
   std::map<std::string, int> message_arity_;
   std::uint64_t next_msg_seq_ = 0;
-  /// Blocked senders, at most one entry each. heap_release wakes them
-  /// first-fit in arrival order instead of all at once.
+  /// Senders blocked in heap_allocate_blocking, at most one entry each and
+  /// only while they are in there. heap_release wakes them first-fit in
+  /// arrival order instead of all at once.
   std::deque<HeapWaiter> heap_waiters_;
   std::map<ChannelKey, ReliableChannel> reliable_channels_;
 };

@@ -1,6 +1,7 @@
 #include "mmos/kernel.hpp"
 
 #include <algorithm>
+#include <cassert>
 #include <cmath>
 
 #include "flex/fault.hpp"
@@ -16,28 +17,61 @@ Proc& Kernel::create_process(std::string name, Proc::Body body) {
       new Proc(*this, next_proc_id_++, std::move(name), std::move(body)));
   Proc& p = *proc;
   p.sp_ = &engine().spawn("pe" + std::to_string(pe_) + ":" + p.name(),
-                          [&p](sim::Process& sp) { p.body_wrapper(sp); });
+                          [this, &p](sim::Process&) {
+                            ++p.pins_;
+                            p.body_wrapper();
+                            --p.pins_;
+                            collect(p);
+                          });
   procs_.push_back(std::move(proc));
   ++live_;
   if (halted_) {
     // Deferred so the caller can still attach on_exit callbacks before the
     // kill's exit path runs them.
-    engine().schedule(engine().now(), [&p] { p.kill(); });
+    ++p.queued_;
+    engine().schedule(engine().now(), [this, &p] {
+      --p.queued_;
+      if (p.finished_) {
+        collect(p);
+      } else {
+        p.kill();
+      }
+    });
     return p;
   }
   make_ready(p);
   return p;
 }
 
+void Kernel::release(Proc& p) {
+  p.released_ = true;
+  collect(p);
+}
+
+void Kernel::collect(Proc& p) {
+  if (!p.finished_ || !p.released_ || p.pins_ != 0 || p.queued_ != 0) return;
+  // Searched from the back: a record is usually released soon after it was
+  // created, and the table holds only what has not been destroyed.
+  const auto it = std::find_if(procs_.rbegin(), procs_.rend(),
+                               [&p](const auto& q) { return q.get() == &p; });
+  assert(it != procs_.rend());
+  engine().release(*p.sp_);
+  procs_.erase(std::next(it).base());
+}
+
 void Kernel::halt() {
   if (halted_) return;
   halted_ = true;
   // Kill in creation order so the unwind sequence is deterministic. Each
-  // kill routes through remove()/release(), and with halted_ set nothing is
-  // ever dispatched again; bodies unwind at their next blocking point.
-  for (auto& p : procs_) {
-    if (!p->finished_) p->kill();
+  // kill routes through remove()/leave_cpu(), and with halted_ set nothing
+  // is ever dispatched again; bodies unwind at their next blocking point.
+  // A kill may finish a process on the spot and destroy released records,
+  // so walk the unfinished ones listed first: only finished records go.
+  std::vector<Proc*> doomed;
+  for (const auto& p : procs_) {
+    if (!p->finished_) doomed.push_back(p.get());
   }
+  for (Proc* p : doomed) p->kill();
 }
 
 void Kernel::restart() {
@@ -69,15 +103,21 @@ void Kernel::maybe_dispatch() {
     current_ = p;
     slice_used_ = 0;
     ++dispatches_;
-    // The incoming process reaches the CPU after the context-switch cost.
-    engine().schedule_in(costs().context_switch, [this, p] {
-      if (current_ == p && !p->finished_) engine().wake(*p->sp_);
+    // The incoming process reaches the CPU after the context-switch cost,
+    // unless it left the CPU meanwhile. The closure names the dispatch, not
+    // the process: current_ is either the process dispatched then or null
+    // while the count is unchanged, and a process that finishes leaves the
+    // CPU, so the closure never touches a record that may be gone.
+    engine().schedule_in(costs().context_switch, [this, n = dispatches_] {
+      if (dispatches_ == n && current_ != nullptr) {
+        engine().wake(*current_->sp_);
+      }
     });
     return;
   }
 }
 
-void Kernel::release(Proc& p) {
+void Kernel::leave_cpu(Proc& p) {
   if (current_ == &p) {
     current_ = nullptr;
     maybe_dispatch();
@@ -89,7 +129,7 @@ void Kernel::remove(Proc& p) {
   auto it = std::find(ready_.begin(), ready_.end(), &p);
   if (it != ready_.end()) ready_.erase(it);
   --live_;
-  release(p);
+  leave_cpu(p);
 }
 
 sim::Tick Kernel::slice_remaining() {
@@ -104,11 +144,10 @@ Proc::Proc(Kernel& kernel, std::uint64_t id, std::string name, Body body)
 
 int Proc::pe() const { return kernel_->pe(); }
 
-void Proc::body_wrapper(sim::Process& /*sp*/) {
+void Proc::body_wrapper() {
   try {
     compute(kernel_->costs().process_create);
     body_(*this);
-    body_ = nullptr;
     compute(kernel_->costs().process_exit);
   } catch (const sim::ProcessKilled&) {
     killed_ = true;
@@ -119,10 +158,18 @@ void Proc::body_wrapper(sim::Process& /*sp*/) {
 void Proc::finish() {
   if (finished_) return;
   finished_ = true;
-  kernel_->remove(*this);
-  auto& eng = kernel_->engine();
+  Kernel& kernel = *kernel_;
+  kernel.remove(*this);
+  auto& eng = kernel.engine();
   for (auto& cb : exit_callbacks_) eng.schedule(eng.now(), std::move(cb));
   exit_callbacks_.clear();
+  // Drop what the body captured, killed or not. That may end the last
+  // reference to something that releases this very process (a force's
+  // state releases its members), so stay pinned while it goes.
+  ++pins_;
+  body_ = nullptr;
+  --pins_;
+  kernel.collect(*this);
 }
 
 void Proc::compute(sim::Tick ticks) {
@@ -142,7 +189,7 @@ void Proc::compute(sim::Tick ticks) {
     if (kernel_->should_preempt()) {
       // Quantum exhausted and others are waiting: go to the back of the
       // ready queue and wait to be dispatched again.
-      kernel_->release(*this);
+      kernel_->leave_cpu(*this);
       kernel_->make_ready(*this);
       sp_->wait();
     }
@@ -172,13 +219,18 @@ bool Proc::block_with_timeout(sim::Tick deadline) {
   const std::uint64_t epoch = block_epoch_;
   timed_out_ = false;
   cond_blocked_ = true;
-  kernel_->release(*this);
+  kernel_->leave_cpu(*this);
   if (deadline != sim::kForever) {
+    // Queued until the deadline even if a wake comes first, so it keeps
+    // the record alive until then.
+    ++queued_;
     kernel_->engine().schedule(deadline, [this, epoch] {
+      --queued_;
       if (epoch == block_epoch_ && cond_blocked_) {
         timed_out_ = true;
         wake();
       }
+      kernel_->collect(*this);
     });
   }
   sp_->wait();  // until dispatched again
@@ -187,7 +239,7 @@ bool Proc::block_with_timeout(sim::Tick deadline) {
 
 void Proc::yield() {
   if (kernel_->ready_count() == 0) return;
-  kernel_->release(*this);
+  kernel_->leave_cpu(*this);
   kernel_->make_ready(*this);
   sp_->wait();
 }
@@ -201,12 +253,15 @@ void Proc::wake() {
 void Proc::kill() {
   if (finished_) return;
   killed_ = true;
-  if (sp_->state() == sim::Process::State::created) {
+  sim::Process& sp = *sp_;
+  sim::Engine& eng = kernel_->engine();
+  if (sp.state() == sim::Process::State::created) {
     // Never dispatched: tidy the scheduler here, then let the host thread
-    // exit without running the body.
+    // exit without running the body. finish() may destroy this process, so
+    // only locals are used after it.
     finish();
   }
-  kernel_->engine().kill(*sp_);
+  eng.kill(sp);
 }
 
 }  // namespace pisces::mmos

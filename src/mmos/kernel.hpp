@@ -30,8 +30,19 @@ class Kernel {
   /// (with process-creation cost charged to it) when first dispatched. On a
   /// halted PE the process is created already doomed: a kill is scheduled
   /// for the current tick, after the caller has had a chance to register
-  /// exit callbacks.
+  /// exit callbacks. The returned reference stays valid until the caller
+  /// passes it to release(): the run-time system releases a task's process
+  /// when the task ends, a dead controller's, and a force's members when
+  /// the force is done. A process nobody releases stays in procs() for the
+  /// Kernel's lifetime.
   Proc& create_process(std::string name, Proc::Body body);
+
+  /// The creator of `p` will not touch it again. The Kernel destroys it
+  /// once it has finished, its own calls have returned and no queued event
+  /// names it: here if that already holds, else when the last of those
+  /// happens. Its sim::Process then goes to sim::Engine::release. Releasing
+  /// or destroying schedules nothing. Idempotent.
+  void release(Proc& p);
 
   /// Fault injection: halt this PE. Every unfinished process is killed (in
   /// creation order, for determinism) and the kernel never dispatches
@@ -58,6 +69,9 @@ class Kernel {
   /// and finish, so per-task placement never rescans the process table.
   [[nodiscard]] std::size_t live_count() const { return live_; }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
+  /// Processes created here and not yet destroyed, in creation order: the
+  /// live ones, finished ones nobody released, and released ones a queued
+  /// event still names.
   [[nodiscard]] const std::vector<std::unique_ptr<Proc>>& procs() const {
     return procs_;
   }
@@ -77,9 +91,12 @@ class Kernel {
   /// If the CPU is idle and someone is ready, start a dispatch.
   void maybe_dispatch();
   /// Called by the running process to give up the CPU (block or exit).
-  void release(Proc& p);
+  void leave_cpu(Proc& p);
   /// Remove a process from scheduler structures wherever it is (kill path).
   void remove(Proc& p);
+  /// Destroy `p` if it is released, finished, off its own stack and named
+  /// by no queued event.
+  void collect(Proc& p);
 
   /// Remaining ticks in the current quantum; refreshes the quantum when the
   /// ready queue is empty (nobody to preempt for).

@@ -65,7 +65,8 @@ class Proc {
   void wake();
 
   /// Terminate the process. Its stack unwinds at the next blocking point;
-  /// exit callbacks still run.
+  /// exit callbacks still run. A released process never started finishes
+  /// here and may be destroyed before kill() returns.
   void kill();
 
   /// Register a callback to run (as an engine event) when the process
@@ -78,7 +79,10 @@ class Proc {
 
   Proc(Kernel& kernel, std::uint64_t id, std::string name, Body body);
 
-  void body_wrapper(sim::Process& sp);
+  void body_wrapper();
+  /// Mark finished: leave the scheduler, queue the exit callbacks and drop
+  /// the body with whatever it captured. The last thing it does may be to
+  /// destroy this process (see Kernel::release).
   void finish();
 
   Kernel* kernel_;
@@ -94,6 +98,11 @@ class Proc {
   bool killed_ = false;
   sim::Tick cpu_ticks_ = 0;
   std::vector<std::function<void()>> exit_callbacks_;
+
+  // Lifetime (see Kernel::release).
+  bool released_ = false;  ///< its creator will not touch it again
+  int pins_ = 0;           ///< its own calls on the stack (body, finish)
+  int queued_ = 0;         ///< engine closures naming it (block deadlines)
 };
 
 }  // namespace pisces::mmos

@@ -112,6 +112,7 @@ bool Engine::pass_reservation(Tick limit) {
 void Engine::schedule_resume(Tick at, Process& p, std::uint64_t word) {
   if (shutting_down_) return;
   queue_.push_resume(std::max(at, now_), p, word);
+  ++p.queued_resumes_;
 }
 
 bool Engine::run_ahead(Tick at) {
@@ -159,6 +160,23 @@ void Engine::on_process_finished() {
   ++unreaped_finished_;
 }
 
+void Engine::release(Process& p) {
+  p.released_ = true;
+  collect(p);
+}
+
+void Engine::collect(Process& p) {
+  if (!p.released_ || p.queued_resumes_ != 0 ||
+      p.tombstone_ == Process::kNoTombstone) {
+    return;
+  }
+  // Swap the last tombstone into p's place; the move destroys p.
+  const std::size_t i = p.tombstone_;
+  tombstones_[i] = std::move(tombstones_.back());
+  tombstones_[i]->tombstone_ = i;
+  tombstones_.pop_back();
+}
+
 bool Engine::step() {
   // A place reserved and never filled is a no-op event at its tick.
   if (queue_.empty()) return pass_reservation(kForever);
@@ -166,7 +184,11 @@ bool Engine::step() {
   now_ = std::max(now_, event.at);
   ++events_fired_;
   if (event.process != nullptr) {
-    event.process->fire_resume(event.arg);
+    Process& p = *event.process;
+    --p.queued_resumes_;
+    p.fire_resume(event.arg);
+    // A stale resume may have been the last thing naming a tombstone.
+    if (p.tombstone_ != Process::kNoTombstone) collect(p);
   } else {
     queue_.take_action(event)();
   }
@@ -206,8 +228,15 @@ void Engine::reap_finished() {
   if (unreaped_finished_ == 0) return;
   std::size_t dest = 0;
   for (std::size_t i = 0; i < processes_.size(); ++i) {
-    if (processes_[i]->state() == Process::State::finished) {
-      tombstones_.push_back(std::move(processes_[i]));
+    Process& p = *processes_[i];
+    if (p.state() == Process::State::finished) {
+      ++reaped_;
+      if (p.released_ && p.queued_resumes_ == 0) {
+        processes_[i].reset();
+      } else {
+        p.tombstone_ = tombstones_.size();
+        tombstones_.push_back(std::move(processes_[i]));
+      }
     } else {
       if (dest != i) processes_[dest] = std::move(processes_[i]);
       ++dest;

@@ -62,6 +62,11 @@ struct EventSlot {
 /// So the engine never holds more stacks than the most fibers ever live at
 /// once, and unmaps them when it is destroyed.
 ///
+/// Process records: a released process is destroyed once it has finished,
+/// been reaped and no queued resume names it, so memory follows the live
+/// set rather than every process ever spawned. Only processes nobody
+/// releases stay, as tombstones, for the Engine's lifetime.
+///
 /// An Engine and all its processes run on the thread that constructed it.
 class Engine {
  public:
@@ -96,10 +101,18 @@ class Engine {
   void schedule_reserved(EventSlot slot, EventQueue::Action action);
 
   /// Create a process. The body does not start running until wake() is
-  /// called on it. The returned reference stays valid for the Engine's
-  /// lifetime (finished processes are reaped down to a tombstone, but the
-  /// object itself is never destroyed early).
+  /// called on it. The returned reference stays valid until the caller
+  /// passes it to release() (mmos::Kernel does when it destroys the
+  /// process's Proc); the process then goes once it has finished, been
+  /// reaped and no queued resume names it. A process nobody releases lasts
+  /// as long as the Engine (once finished, it is reaped to a tombstone).
   Process& spawn(std::string name, Process::Body body);
+
+  /// The owner of `p` will not touch it again. The Engine destroys it once
+  /// it has finished, been reaped and no queued resume names it: here if
+  /// that already holds, else when the last of those happens. Destroying
+  /// schedules nothing. Idempotent.
+  void release(Process& p);
 
   /// Wake a blocked (or not-yet-started) process at the current tick.
   /// No-op if the process is runnable, running, or finished — callers use
@@ -133,12 +146,15 @@ class Engine {
   /// by process bodies are destroyed before the Engine. Idempotent. After
   /// shutdown, schedule() becomes a no-op and exit callbacks do not run.
   void shutdown_processes();
+  /// True once shutdown_processes() has run.
+  [[nodiscard]] bool shut_down() const { return shutting_down_; }
 
   /// Move finished processes out of the live set so scans stay proportional
   /// to live processes. Their heavy state (stack/thread, body storage) was
-  /// already given up when the body finished; what remains is a small
-  /// tombstone kept alive so references returned by spawn() stay valid.
-  /// Runs automatically every few hundred finishes during run(); public so
+  /// already given up when the body finished. A released process no queued
+  /// resume names is destroyed; the rest stay as small tombstones, so
+  /// references returned by spawn() stay valid until release(). Runs
+  /// automatically every few hundred finishes during run(); public so
   /// long-lived sessions with dynamic task churn can force it at a barrier.
   void reap_finished();
 
@@ -153,10 +169,9 @@ class Engine {
                                [this](Tick at) { return at > now_; }));
   }
   [[nodiscard]] std::size_t live_process_count() const { return live_count_; }
-  /// Finished processes already moved to the tombstone list.
-  [[nodiscard]] std::size_t reaped_process_count() const {
-    return tombstones_.size();
-  }
+  /// Finished processes reaped so far, destroyed or kept as tombstones:
+  /// after reap_finished(), live + reaped counts every process spawned.
+  [[nodiscard]] std::size_t reaped_process_count() const { return reaped_; }
   /// Fiber stacks this engine has mapped, in use or spare (0 on threads).
   [[nodiscard]] std::size_t fiber_stacks() const { return stacks_made_; }
 
@@ -168,6 +183,8 @@ class Engine {
   void note_failure(std::exception_ptr e) { failure_ = std::move(e); }
   /// Bookkeeping when a body finishes (any backend, any path).
   void on_process_finished();
+  /// Destroy `p` if it is a released tombstone no queued resume names.
+  void collect(Process& p);
   /// Queue a typed resume of `p` at `at` (clamped to now); `word` is handed
   /// back to Process::fire_resume.
   void schedule_resume(Tick at, Process& p, std::uint64_t word);
@@ -195,10 +212,13 @@ class Engine {
   Tick horizon_ = kForever;  ///< active run_until limit; no run-ahead past it
   bool shutting_down_ = false;
   EventQueue queue_;
-  std::vector<std::unique_ptr<Process>> processes_;   ///< live + not yet reaped
-  std::vector<std::unique_ptr<Process>> tombstones_;  ///< finished, reaped
+  std::vector<std::unique_ptr<Process>> processes_;  ///< live + not yet reaped
+  /// Finished and reaped, not yet destroyed: never released, or released
+  /// while a queued resume still names it. Unordered; each knows its index.
+  std::vector<std::unique_ptr<Process>> tombstones_;
   std::size_t live_count_ = 0;
   std::size_t unreaped_finished_ = 0;
+  std::size_t reaped_ = 0;
   std::uint64_t next_process_id_ = 1;
   std::uint64_t events_fired_ = 0;
   std::exception_ptr failure_;

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -133,6 +134,13 @@ class Process {
   std::uint64_t wait_epoch_ = 0;  ///< invalidates stale resume events
   bool timed_out_ = false;        ///< result of the last wait_until
   bool kill_requested_ = false;
+
+  // Lifetime (see Engine::release): the record is destroyed once it is
+  // released, finished and reaped, and no queued resume names it.
+  static constexpr std::size_t kNoTombstone = static_cast<std::size_t>(-1);
+  bool released_ = false;             ///< its owner will not touch it again
+  std::uint32_t queued_resumes_ = 0;  ///< typed resumes queued for it
+  std::size_t tombstone_ = kNoTombstone;  ///< index in Engine::tombstones_
 };
 
 }  // namespace pisces::sim

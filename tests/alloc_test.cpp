@@ -1,8 +1,9 @@
-// Host allocation ceilings on the message path: the shared message heap in
-// steady state, and a two-cluster ping-pong's send+accept. This suite
-// replaces the global operator new and delete to count calls, so it is an
-// executable of its own. Counts depend on the standard library, so each
-// bound is a ceiling, and only the loop under test is counted.
+// Host allocation ceilings: the shared message heap in steady state, a
+// two-cluster ping-pong's send+accept, and the records a churn of forces
+// leaves behind. This suite replaces the global operator new and delete to
+// count calls, so it is an executable of its own. Counts depend on the
+// standard library, so each bound is a ceiling, and only the loop under
+// test is counted.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -17,10 +18,17 @@
 
 namespace {
 std::atomic<std::uint64_t> g_news{0};
+std::atomic<std::uint64_t> g_deletes{0};
 
 void* counted_malloc(std::size_t n) noexcept {
   g_news.fetch_add(1, std::memory_order_relaxed);
   return std::malloc(n == 0 ? 1 : n);
+}
+
+void counted_free(void* p) noexcept {
+  if (p == nullptr) return;
+  g_deletes.fetch_add(1, std::memory_order_relaxed);
+  std::free(p);
 }
 }  // namespace
 
@@ -35,10 +43,12 @@ void* counted_malloc(std::size_t n) noexcept {
 [[gnu::noinline]] void* operator new(std::size_t n, const std::nothrow_t&) noexcept {
   return counted_malloc(n);
 }
-[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
-[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p) noexcept { counted_free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  counted_free(p);
+}
 [[gnu::noinline]] void operator delete(void* p, const std::nothrow_t&) noexcept {
-  std::free(p);
+  counted_free(p);
 }
 
 namespace pisces {
@@ -50,6 +60,12 @@ std::uint64_t news_during(Fn&& fn) {
   const std::uint64_t before = g_news.load();
   fn();
   return g_news.load() - before;
+}
+
+/// Allocations outstanding (news minus deletes) now.
+std::int64_t outstanding() {
+  return static_cast<std::int64_t>(g_news.load()) -
+         static_cast<std::int64_t>(g_deletes.load());
 }
 
 TEST(Allocations, SharedHeapMakesNoneInSteadyState) {
@@ -132,6 +148,44 @@ TEST(Allocations, PingPongMakesAtMostThreePerMessage) {
   EXPECT_EQ(rounds, kWarmup + kRounds + 1);
   EXPECT_EQ(mismatches, 0);
   EXPECT_LE(news, 3 * kMessages);
+}
+
+// A finished force member's records go when the force is done, so a long
+// run of FORCESPLITs holds what its live processes need and nothing per
+// member ever started. The engine reaps finished processes in batches, so
+// both counts are taken right after a reap.
+TEST(Allocations, ForceChurnRetainsNoRecords) {
+  constexpr int kWarmup = 50;
+  constexpr int kForces = 1'000;
+  sim::Engine eng;
+  flex::Machine machine{eng};
+  mmos::System sys{machine};
+  config::Configuration cfg = config::Configuration::simple(1);
+  cfg.clusters[0].secondary_pes = {4, 5};  // 3 members
+  rt::Runtime rt(sys, std::move(cfg));
+  std::int64_t growth = 0;
+  int forces = 0;
+  rt.register_tasktype("churn", [&](rt::TaskContext& ctx) {
+    rt::LockVar& lock = ctx.lock_var("L");
+    auto split = [&] {
+      ctx.forcesplit([&lock](rt::ForceContext& fc) {
+        fc.critical(lock, [&fc] { fc.compute(50); });
+        fc.compute(100 * fc.member());
+      });
+      ++forces;
+    };
+    for (int i = 0; i < kWarmup; ++i) split();
+    eng.reap_finished();
+    const std::int64_t before = outstanding();
+    for (int i = 0; i < kForces; ++i) split();
+    eng.reap_finished();
+    growth = outstanding() - before;
+  });
+  rt.boot();
+  rt.user_initiate(1, "churn");
+  rt.run();
+  EXPECT_EQ(forces, kWarmup + kForces);
+  EXPECT_LE(growth, 16);
 }
 
 }  // namespace

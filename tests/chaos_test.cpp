@@ -589,6 +589,216 @@ TEST(Chaos, AllreduceDoesNotWedgeWhenRelayPeHaltsMidCollective) {
   EXPECT_EQ(fibers, threads);
 }
 
+TEST(Chaos, ForcesplitOntoHaltedPeEndsItsTask) {
+  // PE 5 halts while the task computes, before its FORCESPLIT: a member
+  // placed there could never reach a barrier, so the task ends (killed)
+  // instead of wedging, and the parent hears of it.
+  sim::Engine eng;
+  flex::Machine machine{eng};
+  mmos::System sys{machine};
+  config::Configuration cfg = config::Configuration::simple(1);
+  cfg.clusters[0].secondary_pes = {4, 5};
+  cfg.faults.pe_halts.push_back({5, 1'000'000});
+  cfg.time_limit = 60'000'000;
+  Runtime rt(sys, std::move(cfg));
+  bool region_ran = false;
+  int childterms = 0;
+  rt.register_tasktype("late", [&region_ran](TaskContext& ctx) {
+    ctx.compute(2'000'000);
+    ctx.forcesplit([&region_ran](ForceContext&) { region_ran = true; });
+  });
+  rt.register_tasktype("parent", [&childterms](TaskContext& ctx) {
+    ctx.on_message("_CHILDTERM",
+                   [&childterms](TaskContext&, const Message&) { ++childterms; });
+    ctx.initiate(Where::Same(), "late");
+    ctx.accept(AcceptSpec{}.of("_CHILDTERM").delay_for(10'000'000));
+  });
+  rt.boot();
+  rt.user_initiate(1, "parent");
+  rt.run();
+  EXPECT_FALSE(rt.timed_out());
+  EXPECT_FALSE(region_ran);
+  EXPECT_EQ(childterms, 1);
+  EXPECT_EQ(rt.stats().tasks_killed, 1u);
+  EXPECT_EQ(rt.stats().tasks_started, rt.stats().tasks_finished);
+  for (const auto& k : sys.kernels()) {
+    EXPECT_EQ(k->procs().size(), k->live_count()) << "PE " << k->pe();
+  }
+}
+
+// ---- forces under faults ---------------------------------------------
+
+/// Everything observable about one force chaos run.
+struct ForceRunResult {
+  sim::Tick end_tick = 0;
+  std::uint64_t events_fired = 0;
+  std::uint64_t forcesplits = 0;
+  std::uint64_t messages_sent = 0;
+  std::uint64_t dead_letters = 0;
+  std::uint64_t tasks_started = 0;
+  std::uint64_t tasks_finished = 0;
+  std::uint64_t tasks_killed = 0;
+  std::uint64_t pe_halts = 0;
+  std::uint64_t heap_denials = 0;
+  std::uint64_t lock_contentions = 0;
+  int criticals = 0;  ///< CRITICAL bodies entered, by every member
+  int progress_seen = 0;
+  int ends_seen = 0;  ///< "done" or _CHILDTERM, one per forcer at most
+  sim::Tick killed_at = 0;  ///< when a forcer was killed inside a force
+  std::size_t heap_in_use = 0;
+  bool timed_out = false;
+  bool counters_consistent = true;  ///< live_count_consistent() everywhere
+  bool records_drained = true;      ///< procs().size() == live_count()
+
+  [[nodiscard]] auto key() const {
+    return std::tuple(end_tick, events_fired, forcesplits, messages_sent,
+                      dead_letters, tasks_started, tasks_finished,
+                      tasks_killed, pe_halts, heap_denials, lock_contentions,
+                      criticals, progress_seen, ends_seen, killed_at);
+  }
+};
+
+constexpr int kForcers = 3;
+constexpr int kForceRounds = 5;
+
+/// Forcers repeat FORCESPLITs whose members take a LOCK in turn and write a
+/// SHARED COMMON block; between forces the primary reports to the master.
+/// The seed places three faults in the run: a secondary PE of cluster 1
+/// halts (the force running there, or the next one to start, ends its
+/// task), a forcer is killed while it is in a force (the first one found in
+/// a force from a seeded tick on), and the message heap has an outage.
+/// Every wait is bounded, so the run completes degraded rather than
+/// hanging.
+ForceRunResult run_force_chaos(std::uint64_t seed, sim::Backend backend) {
+  std::mt19937_64 rng(seed);
+  auto pick = [&rng](sim::Tick lo, sim::Tick hi) {
+    return lo + static_cast<sim::Tick>(
+                    rng() % static_cast<std::uint64_t>(hi - lo));
+  };
+  constexpr int kHaltedPe = 6;
+  // The forcers are busy from about 0.1M to 1.5M ticks.
+  const sim::Tick halt_at = pick(300'000, 1'200'000);
+  const sim::Tick kill_at = pick(150'000, 900'000);
+  const sim::Tick outage_from = pick(150'000, 1'000'000);
+  const sim::Tick outage_until = outage_from + pick(100'000, 500'000);
+
+  sim::Engine eng(backend);
+  flex::Machine machine{eng};
+  mmos::System sys{machine};
+  config::Configuration cfg = config::Configuration::simple(2);
+  cfg.clusters[0].secondary_pes = {5, kHaltedPe, 7};
+  cfg.clusters[1].secondary_pes = {8, 9};
+  for (auto& cl : cfg.clusters) cl.slots = 4;
+  cfg.faults.seed = seed;
+  cfg.faults.pe_halts.push_back({kHaltedPe, halt_at});
+  cfg.faults.heap_outages.push_back({outage_from, outage_until});
+  cfg.time_limit = 200'000'000;
+  Runtime rt(sys, std::move(cfg));
+
+  ForceRunResult out;
+  rt.register_tasktype("forcer", [&out](TaskContext& ctx) {
+    LockVar& lock = ctx.lock_var("L");
+    SharedBlock& grid = ctx.shared_common("GRID", 16);
+    for (int round = 0; round < kForceRounds; ++round) {
+      ctx.forcesplit([&out, &lock, &grid, round](ForceContext& fc) {
+        fc.critical(lock, [&] {
+          ++out.criticals;
+          grid.write(fc.proc(), 0, grid.read(fc.proc(), 0) + 1);
+          fc.compute(20'000);
+        });
+        fc.presched(1, 15, 1, [&](std::int64_t i) {
+          grid.write(fc.proc(), static_cast<std::size_t>(i),
+                     static_cast<double>(round * fc.member()));
+          fc.compute(30'000);
+        });
+      });
+      ctx.send(Dest::Parent(), "progress", {Value(round)});
+    }
+    out.lock_contentions += lock.contended_acquires();
+    ctx.send(Dest::Parent(), "done");
+  });
+  rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    auto count = [](int& n) {
+      return [&n](TaskContext&, const Message&) { ++n; };
+    };
+    ctx.on_message("progress", count(out.progress_seen));
+    ctx.on_message("done", count(out.ends_seen));
+    ctx.on_message("_CHILDTERM", count(out.ends_seen));
+    for (int i = 0; i < kForcers; ++i) {
+      ctx.initiate(Where::Cluster(1 + i % 2), "forcer");
+    }
+    while (out.ends_seen < kForcers) {
+      const AcceptResult r = ctx.accept(AcceptSpec{}
+                                            .of("progress")
+                                            .of("done")
+                                            .of("_CHILDTERM")
+                                            .total(1)
+                                            .delay_for(10'000'000));
+      if (r.timed_out) break;
+    }
+  });
+  std::function<void()> kill_mid_force = [&] {
+    bool forcers_left = false;
+    for (const auto& t : rt.running_tasks()) {
+      if (t.tasktype != "forcer") continue;
+      forcers_left = true;
+      if (!rt.find_record(t.id)->force.expired()) {
+        out.killed_at = eng.now();
+        rt.kill_task(t.id);
+        return;
+      }
+    }
+    if (forcers_left) eng.schedule(eng.now() + 25'000, kill_mid_force);
+  };
+  eng.schedule(kill_at, kill_mid_force);
+  rt.boot();
+  rt.user_initiate(1, "master");
+  out.end_tick = rt.run();
+  out.events_fired = eng.events_fired();
+  const RuntimeStats& st = rt.stats();
+  out.forcesplits = st.forcesplits;
+  out.messages_sent = st.messages_sent;
+  out.dead_letters = st.dead_letters;
+  out.tasks_started = st.tasks_started;
+  out.tasks_finished = st.tasks_finished;
+  out.tasks_killed = st.tasks_killed;
+  out.pe_halts = rt.fault_injector()->stats().pe_halts;
+  out.heap_denials = rt.fault_injector()->stats().heap_denials;
+  out.heap_in_use = rt.message_heap().in_use();
+  out.timed_out = rt.timed_out();
+  for (const auto& k : sys.kernels()) {
+    out.counters_consistent =
+        out.counters_consistent && k->live_count_consistent();
+    out.records_drained =
+        out.records_drained && k->procs().size() == k->live_count();
+  }
+  return out;
+}
+
+class ChaosForceSweep : public ::testing::TestWithParam<std::uint64_t> {};
+
+TEST_P(ChaosForceSweep, ForcesUnwindAndLeaveNoRecords) {
+  const std::uint64_t seed = GetParam();
+  const ForceRunResult r = run_force_chaos(seed, sim::Backend::fibers);
+  EXPECT_FALSE(r.timed_out);
+  EXPECT_TRUE(r.counters_consistent);
+  // Drained: every finished process's record is gone; only the live
+  // controllers remain.
+  EXPECT_TRUE(r.records_drained);
+  EXPECT_EQ(r.tasks_started, r.tasks_finished);
+  EXPECT_EQ(r.heap_in_use, 0u);
+  EXPECT_EQ(r.pe_halts, 1u);
+  EXPECT_GT(r.killed_at, 0);
+  EXPECT_GE(r.tasks_killed, 1u);
+  EXPECT_GT(r.criticals, 0);
+  const ForceRunResult threads = run_force_chaos(seed, sim::Backend::threads);
+  EXPECT_EQ(r.key(), threads.key());
+  EXPECT_EQ(r.key(), run_force_chaos(seed, sim::Backend::fibers).key());
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, ChaosForceSweep,
+                         ::testing::ValuesIn(chaos_seeds()));
+
 // ---- liveness under supervision policy -------------------------------
 
 constexpr int kSupWorkers = 5;

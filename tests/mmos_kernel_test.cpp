@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -165,6 +166,71 @@ TEST(Kernel, KillQueuedProcessBeforeFirstDispatch) {
   EXPECT_FALSE(ran);
   EXPECT_TRUE(victim.finished());
   EXPECT_EQ(k.live_count(), 0u);
+}
+
+// A killed process drops its body, and with it whatever the body captured
+// (a force member's body holds the force's shared state), whether the kill
+// unwound it from a wait or came before it ever ran.
+TEST(Kernel, KilledBodyDropsWhatItCaptured) {
+  Fixture f;
+  auto& k = f.sys.kernel(3);
+  auto blocked_token = std::make_shared<int>(1);
+  auto unstarted_token = std::make_shared<int>(2);
+  const std::weak_ptr<int> blocked_watch = blocked_token;
+  const std::weak_ptr<int> unstarted_watch = unstarted_token;
+  Proc& blocked = k.create_process(
+      "blocked", [t = std::move(blocked_token)](Proc& p) { p.block(); });
+  Proc& unstarted = k.create_process(
+      "unstarted", [t = std::move(unstarted_token)](Proc&) {});
+  unstarted.kill();
+  EXPECT_TRUE(unstarted.finished());
+  EXPECT_TRUE(unstarted_watch.expired());
+  f.eng.run();
+  ASSERT_FALSE(blocked.finished());
+  EXPECT_FALSE(blocked_watch.expired());
+  blocked.kill();
+  f.eng.run();
+  EXPECT_TRUE(blocked.finished());
+  EXPECT_TRUE(blocked_watch.expired());
+}
+
+// Released records go once they have finished and no queued event names
+// them; unreleased ones stay readable. The engine still counts every
+// finished process.
+TEST(Kernel, ReleasedRecordsGoOnceNothingNamesThem) {
+  Fixture f;
+  auto& k = f.sys.kernel(3);
+  Proc& kept = k.create_process("kept", [](Proc& p) { p.compute(10); });
+  Proc& done = k.create_process("done", [](Proc& p) { p.compute(10); });
+  Proc& early = k.create_process("early", [](Proc& p) { p.block(); });
+  // Woken long before its deadline: the deadline's event stays queued.
+  Proc& timed = k.create_process("timed", [](Proc& p) {
+    (void)p.block_with_timeout(1'000'000);
+  });
+  k.release(early);  // before it finishes: it goes when it does
+  f.eng.schedule(50'000, [&] {
+    timed.wake();
+    k.release(timed);
+  });
+  f.eng.run_until(100'000);
+  EXPECT_EQ(k.procs().size(), 4u);
+  k.release(done);
+  EXPECT_EQ(k.procs().size(), 3u);   // finished, nothing queued: gone now
+  EXPECT_EQ(k.live_count(), 1u);     // `early`, still blocked
+  f.eng.run_until(999'999);
+  EXPECT_EQ(k.procs().size(), 3u);   // `timed` waits for its deadline event
+  f.eng.run();
+  EXPECT_EQ(k.procs().size(), 2u);
+  early.kill();
+  f.eng.run();
+  ASSERT_EQ(k.procs().size(), 1u);
+  EXPECT_EQ(k.procs().front().get(), &kept);
+  EXPECT_EQ(kept.cpu_ticks(), 10 + f.machine.costs().process_create +
+                                  f.machine.costs().process_exit);
+  EXPECT_TRUE(k.live_count_consistent());
+  f.eng.reap_finished();
+  EXPECT_EQ(f.eng.live_process_count(), 0u);
+  EXPECT_EQ(f.eng.reaped_process_count(), 4u);
 }
 
 TEST(Kernel, ExitCallbacksRunOnNormalCompletion) {

@@ -780,6 +780,34 @@ TEST_P(BackendTest, ReapFinishedKeepsReferencesValid) {
   }
 }
 
+// A released process goes only once no queued resume names it: a sleeper
+// killed mid-sleep leaves its original resume queued, and that resume still
+// reads the record when it fires.
+TEST_P(BackendTest, ReleasedProcessOutlivesItsStaleResume) {
+  Engine eng(GetParam());
+  Process& sleeper = eng.spawn("sleeper", [&eng](Process& self) {
+    self.sleep_until(eng.now() + 1'000);
+  });
+  eng.schedule(0, [&] { eng.wake(sleeper); });
+  eng.schedule(10, [&] { eng.kill(sleeper); });
+  eng.run_until(20);
+  ASSERT_EQ(sleeper.state(), Process::State::finished);
+  EXPECT_EQ(eng.pending_events(), 1u);  // the resume at tick 1000
+  eng.reap_finished();
+  eng.release(sleeper);
+  eng.run();
+  EXPECT_EQ(eng.now(), 1'000);
+  EXPECT_EQ(eng.reaped_process_count(), 1u);
+  // Released before it is reaped: it goes at the reap.
+  Process& quick = eng.spawn("quick", [](Process&) {});
+  eng.schedule(eng.now(), [&] { eng.wake(quick); });
+  eng.run();
+  eng.release(quick);
+  eng.reap_finished();
+  EXPECT_EQ(eng.reaped_process_count(), 2u);
+  EXPECT_EQ(eng.live_process_count(), 0u);
+}
+
 TEST_P(BackendTest, ReapLeavesLiveProcessesScannable) {
   Engine eng(GetParam());
   Process& stuck = eng.spawn("stuck", [](Process& self) { self.wait(); });
