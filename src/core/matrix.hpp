@@ -11,10 +11,9 @@ namespace pisces::rt {
 class Matrix {
  public:
   Matrix() = default;
-  Matrix(int rows, int cols, double fill = 0.0)
-      : rows_(rows), cols_(cols),
-        data_(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), fill) {
+  Matrix(int rows, int cols, double fill = 0.0) : rows_(rows), cols_(cols) {
     if (rows < 0 || cols < 0) throw std::invalid_argument("negative Matrix shape");
+    data_.assign(static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols), fill);
   }
 
   [[nodiscard]] int rows() const { return rows_; }
@@ -41,12 +40,18 @@ class Matrix {
   }
 
  private:
+  // at() runs once per stencil point, so its compares must inline into the
+  // caller. Building the message inline would keep check() out of line, so
+  // it lives in a cold function of its own.
   void check(int r, int c) const {
-    if (r < 0 || r >= rows_ || c < 0 || c >= cols_) {
-      throw std::out_of_range("Matrix index (" + std::to_string(r) + "," +
-                              std::to_string(c) + ") outside " +
-                              std::to_string(rows_) + "x" + std::to_string(cols_));
+    if (r < 0 || r >= rows_ || c < 0 || c >= cols_) [[unlikely]] {
+      throw_out_of_range(r, c);
     }
+  }
+  [[noreturn, gnu::cold, gnu::noinline]] void throw_out_of_range(int r, int c) const {
+    throw std::out_of_range("Matrix index (" + std::to_string(r) + "," +
+                            std::to_string(c) + ") outside " +
+                            std::to_string(rows_) + "x" + std::to_string(cols_));
   }
 
   int rows_ = 0;

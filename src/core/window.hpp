@@ -26,11 +26,12 @@ struct Rect {
   }
   [[nodiscard]] constexpr std::size_t bytes() const { return elements() * 8; }
 
-  /// True if `inner` lies entirely within this rectangle.
+  /// True if `inner` lies entirely within this rectangle. Far edges are
+  /// summed in 64 bits, so a rectangle that ends past INT_MAX is outside.
   [[nodiscard]] constexpr bool contains(const Rect& inner) const {
     return inner.row0 >= row0 && inner.col0 >= col0 &&
-           inner.row0 + inner.rows <= row0 + rows &&
-           inner.col0 + inner.cols <= col0 + cols;
+           std::int64_t{inner.row0} + inner.rows <= std::int64_t{row0} + rows &&
+           std::int64_t{inner.col0} + inner.cols <= std::int64_t{col0} + cols;
   }
   /// True if the two rectangles share at least one element.
   [[nodiscard]] constexpr bool overlaps(const Rect& o) const {
@@ -38,9 +39,11 @@ struct Rect {
            col0 < o.col0 + o.cols && o.col0 < col0 + cols;
   }
 
+  /// Far edges are summed in 64 bits, as in contains().
   [[nodiscard]] std::string str() const {
-    return "[" + std::to_string(row0) + ":" + std::to_string(row0 + rows) + "," +
-           std::to_string(col0) + ":" + std::to_string(col0 + cols) + ")";
+    return "[" + std::to_string(row0) + ":" + std::to_string(std::int64_t{row0} + rows) +
+           "," + std::to_string(col0) + ":" + std::to_string(std::int64_t{col0} + cols) +
+           ")";
   }
 };
 

@@ -1,18 +1,20 @@
 #include "fsim/file_store.hpp"
 
+#include <algorithm>
+
 namespace pisces::fsim {
 
 rt::Matrix copy_rect(const rt::Matrix& src, const rt::Rect& r) {
-  if (!r.valid() || r.row0 + r.rows > src.rows() || r.col0 + r.cols > src.cols()) {
+  if (!r.valid() || !rt::Rect{0, 0, src.rows(), src.cols()}.contains(r)) {
     throw std::out_of_range("copy_rect: " + r.str() + " outside " +
                             std::to_string(src.rows()) + "x" +
                             std::to_string(src.cols()));
   }
   rt::Matrix out(r.rows, r.cols);
-  for (int i = 0; i < r.rows; ++i) {
-    for (int j = 0; j < r.cols; ++j) {
-      out.at(i, j) = src.at(r.row0 + i, r.col0 + j);
-    }
+  auto to = out.data().begin();
+  for (int i = r.row0; i < r.row0 + r.rows; ++i) {
+    const auto row = src.data().begin() + static_cast<std::ptrdiff_t>(i) * src.cols() + r.col0;
+    to = std::copy(row, row + r.cols, to);
   }
   return out;
 }
@@ -21,15 +23,15 @@ void paste_rect(rt::Matrix& dst, const rt::Rect& r, const rt::Matrix& data) {
   if (data.rows() != r.rows || data.cols() != r.cols) {
     throw std::invalid_argument("paste_rect: data shape does not match rect");
   }
-  if (!r.valid() || r.row0 + r.rows > dst.rows() || r.col0 + r.cols > dst.cols()) {
+  if (!r.valid() || !rt::Rect{0, 0, dst.rows(), dst.cols()}.contains(r)) {
     throw std::out_of_range("paste_rect: " + r.str() + " outside " +
                             std::to_string(dst.rows()) + "x" +
                             std::to_string(dst.cols()));
   }
-  for (int i = 0; i < r.rows; ++i) {
-    for (int j = 0; j < r.cols; ++j) {
-      dst.at(r.row0 + i, r.col0 + j) = data.at(i, j);
-    }
+  auto from = data.data().begin();
+  for (int i = r.row0; i < r.row0 + r.rows; ++i, from += r.cols) {
+    std::copy(from, from + r.cols,
+              dst.data().begin() + static_cast<std::ptrdiff_t>(i) * dst.cols() + r.col0);
   }
 }
 

@@ -1322,11 +1322,13 @@ TEST_P(ReliableSweep, ExactlyOnceUnderLossAndDuplication) {
     EXPECT_EQ(r.dead_letters, 0u);
     EXPECT_EQ(r.reliable_dead_letters, 0u);
     EXPECT_EQ(r.send_failures, 0u);
-    // Duplicate suppression observably worked (5-10% duplication over ~50+
-    // copies makes at least one ghost overwhelmingly likely per seed, and
-    // every retransmit racing its own ack dup-drops too), and losses were
-    // actually repaired by retransmission rather than never happening.
-    EXPECT_GT(r.dup_drops, 0u);
+    // Duplicate suppression observably worked whenever the bus injected a
+    // duplicate (some seeds draw none: over 200 seeds of both mixes,
+    // dup_drops equalled bus_duplicated), and losses were actually repaired
+    // by retransmission rather than never happening.
+    if (r.faults.bus_duplicated > 0) {
+      EXPECT_GT(r.dup_drops, 0u);
+    }
     if (r.faults.bus_lost > 0) {
       EXPECT_GT(r.retransmits, 0u);
     }

@@ -250,6 +250,9 @@ const std::vector<MalformedRequest>& malformed_requests() {
        "window [1:3,2:5) outside file array"},
       {"_WINREAD", {-1, 0, 1, 1}, 0, 0, "window [-1:0,0:1) outside array",
        "window [-1:0,0:1) outside file array"},
+      {"_WINREAD", {2147483647, 0, 1, 1}, 0, 0,
+       "window [2147483647:2147483648,0:1) outside array",
+       "window [2147483647:2147483648,0:1) outside file array"},
       {"_WINREAD", {0, 0, 1, 1}, 99, 0, "owner has no array id 99",
        "unknown file array id 99"},
       {"_WINWRITE", {2, 2, 3, 3}, 0, 9, "window [2:5,2:5) outside array",
