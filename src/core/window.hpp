@@ -2,6 +2,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <limits>
 #include <stdexcept>
 #include <string>
 
@@ -33,10 +34,11 @@ struct Rect {
            std::int64_t{inner.row0} + inner.rows <= std::int64_t{row0} + rows &&
            std::int64_t{inner.col0} + inner.cols <= std::int64_t{col0} + cols;
   }
-  /// True if the two rectangles share at least one element.
+  /// True if the two rectangles share at least one element. Far edges are
+  /// summed in 64 bits, as in contains().
   [[nodiscard]] constexpr bool overlaps(const Rect& o) const {
-    return row0 < o.row0 + o.rows && o.row0 < row0 + rows &&
-           col0 < o.col0 + o.cols && o.col0 < col0 + cols;
+    return row0 < std::int64_t{o.row0} + o.rows && o.row0 < std::int64_t{row0} + rows &&
+           col0 < std::int64_t{o.col0} + o.cols && o.col0 < std::int64_t{col0} + cols;
   }
 
   /// Far edges are summed in 64 bits, as in contains().
@@ -72,15 +74,21 @@ struct Window {
   }
 
   /// "Another task may also 'shrink' the window to point to a smaller
-  /// subarray." `sub` is given relative to this window's origin.
+  /// subarray." `sub` is given relative to this window's origin. It is
+  /// checked against the window's own extent before the origins are added,
+  /// and the new origin is summed in 64 bits, so a window near INT_MAX is
+  /// refused rather than wrapped.
   [[nodiscard]] Window shrink(const Rect& sub) const {
     if (!sub.valid()) throw std::invalid_argument("shrink: empty subrectangle");
-    Window w = *this;
-    w.rect = Rect{rect.row0 + sub.row0, rect.col0 + sub.col0, sub.rows, sub.cols};
-    if (!rect.contains(w.rect)) {
+    const std::int64_t row = std::int64_t{rect.row0} + sub.row0;
+    const std::int64_t col = std::int64_t{rect.col0} + sub.col0;
+    constexpr std::int64_t kMax = std::numeric_limits<int>::max();
+    if (!Rect{0, 0, rect.rows, rect.cols}.contains(sub) || row > kMax || col > kMax) {
       throw std::out_of_range("shrink: subrectangle " + sub.str() +
                               " exceeds window " + rect.str());
     }
+    Window w = *this;
+    w.rect = Rect{static_cast<int>(row), static_cast<int>(col), sub.rows, sub.cols};
     return w;
   }
 

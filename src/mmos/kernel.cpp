@@ -172,6 +172,44 @@ void Proc::finish() {
   kernel.collect(*this);
 }
 
+[[gnu::always_inline]] inline void Proc::note_slept() {
+  kernel_->note_ran(slept_);
+  cpu_ticks_ += slept_;
+  owed_ -= slept_;
+  slept_ = 0;
+}
+
+// The slice loop of compute(). Between two waits it notes the slice just
+// slept, then either leaves the CPU for the ready queue (quantum exhausted
+// and others waiting) or sleeps the next slice, noting it at once if it ran
+// ahead; that order is what KernelSlicing.SeededTrajectoriesArePinned
+// holds. Its only throwing calls are the arming kill checks, and a killed
+// process is never stepped, so it cannot throw on the engine side. Always
+// inlined: slices that run ahead (all of pingpong's) must cost no call.
+[[gnu::always_inline]] inline bool Proc::compute_step() {
+  sim::Engine& eng = kernel_->engine();
+  while (owed_ > 0) {
+    if (kernel_->should_preempt()) {
+      // Quantum exhausted and others are waiting: go to the back of the
+      // ready queue and wait to be dispatched again.
+      kernel_->leave_cpu(*this);
+      kernel_->make_ready(*this);
+      sp_->arm_wait(sim::kForever);
+      return false;
+    }
+    slept_ = std::min(owed_, kernel_->slice_remaining());
+    if (sp_->arm_sleep(eng.now() + slept_)) return false;
+    note_slept();
+  }
+  return true;
+}
+
+bool Proc::resume_compute(void* self) {
+  Proc& p = *static_cast<Proc*>(self);
+  p.note_slept();
+  return p.compute_step();
+}
+
 void Proc::compute(sim::Tick ticks) {
   auto& eng = kernel_->engine();
   // Degraded-clock fault: the stretch factor is sampled once per compute
@@ -185,20 +223,12 @@ void Proc::compute(sim::Tick ticks) {
       if (ticks < 1) ticks = 1;
     }
   }
-  while (ticks > 0) {
-    if (kernel_->should_preempt()) {
-      // Quantum exhausted and others are waiting: go to the back of the
-      // ready queue and wait to be dispatched again.
-      kernel_->leave_cpu(*this);
-      kernel_->make_ready(*this);
-      sp_->wait();
-    }
-    const sim::Tick run = std::min(ticks, kernel_->slice_remaining());
-    sp_->sleep_until(eng.now() + run);
-    kernel_->note_ran(run);
-    cpu_ticks_ += run;
-    ticks -= run;
-  }
+  // Slices that run ahead never leave this call. Once one has to wait, the
+  // body parks and the engine runs the rest of the loop (resume_compute) at
+  // each slice end and each dispatch, switching the body in only when the
+  // compute is done or the process has been killed.
+  owed_ = ticks;
+  if (!compute_step()) sp_->park(&Proc::resume_compute, this);
 }
 
 void Proc::charge_shared(std::size_t bytes) {

@@ -20,8 +20,13 @@ class System;
 /// kernel-level block that releases the PE.
 ///
 /// Two wait levels exist and must not be confused:
-///  * sim::Process waits: "waiting to be put on the CPU" (internal);
+///  * sim::Process waits: "waiting to be put on the CPU" (internal), and
+///    the compute slices themselves;
 ///  * Proc::block*: "waiting for a condition" (used by the PISCES runtime).
+/// A compute() that has to wait parks its body on an engine-side step: the
+/// end of each slice, and each dispatch back into the unfinished compute,
+/// run the slice loop's bookkeeping in the engine loop, and the body is
+/// switched in only when the compute is done or the process is killed.
 class Proc {
  public:
   using Body = std::function<void(Proc&)>;
@@ -37,7 +42,9 @@ class Proc {
   // ---- Calls valid only from inside this process's body ----
 
   /// Consume `ticks` of CPU on this PE, interleaving with other ready
-  /// processes at time-slice boundaries (MMOS round robin).
+  /// processes at time-slice boundaries (MMOS round robin). Each slice is a
+  /// sleep of the sim::Process; the body returns from here at the tick the
+  /// last slice ends, but is not switched in between slices.
   void compute(sim::Tick ticks);
 
   /// Release the PE and wait until another process calls wake().
@@ -80,6 +87,15 @@ class Proc {
   Proc(Kernel& kernel, std::uint64_t id, std::string name, Body body);
 
   void body_wrapper();
+  /// compute()'s slice loop from where it stands: returns false once it has
+  /// armed a wait (a slice, or a block until dispatched again), true once
+  /// nothing is owed. Inlined into compute(), whose slices mostly run ahead.
+  bool compute_step();
+  /// Bill the slice just slept to this PE and this process.
+  void note_slept();
+  /// The engine-side step a computing body parks on: notes the slice just
+  /// slept (none after a dispatch), then runs compute_step().
+  static bool resume_compute(void* self);
   /// Mark finished: leave the scheduler, queue the exit callbacks and drop
   /// the body with whatever it captured. The last thing it does may be to
   /// destroy this process (see Kernel::release).
@@ -97,6 +113,8 @@ class Proc {
   bool finished_ = false;
   bool killed_ = false;
   sim::Tick cpu_ticks_ = 0;
+  sim::Tick owed_ = 0;   ///< ticks the running compute() still has to bill
+  sim::Tick slept_ = 0;  ///< length of the slice armed, noted when it ends
   std::vector<std::function<void()>> exit_callbacks_;
 
   // Lifetime (see Kernel::release).

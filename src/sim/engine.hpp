@@ -56,6 +56,13 @@ struct EventSlot {
 /// cannot reorder any other event, so trajectories are the same as without
 /// it; only events_fired() is lower.
 ///
+/// Parked bodies: a body can arm its wait and park on an engine-side step
+/// (Process::park). A resume of a parked body that has not been killed runs
+/// the step in the engine loop instead of switching into the body; the step
+/// arms the next wait, or lets the body continue. Its waits are the events
+/// the body's own would have been, in the same places, so trajectories and
+/// events_fired() are the same; only body_switches() is lower.
+///
 /// Fiber stacks: a process takes a stack when its body first runs and hands
 /// it back when the body finishes; the next process to start reuses the
 /// stack returned last, and a new one is mapped only when none is spare.
@@ -129,8 +136,9 @@ class Engine {
   /// `limit` either, so the clock never passes it. Returns the tick reached.
   Tick run_until(Tick limit);
   /// Fire a single event if one is pending. Returns false when idle. A step
-  /// that resumes a process lasts until that process blocks, so it may cover
-  /// several of its slices when it runs ahead (with no limit: kForever).
+  /// that resumes a process, or runs a parked body's step, lasts until that
+  /// process blocks, so it may cover several of its slices when it runs
+  /// ahead (with no limit: kForever).
   /// With nothing queued but a reserved place ahead, a step only moves the
   /// clock to the earliest one.
   bool step();
@@ -174,6 +182,10 @@ class Engine {
   [[nodiscard]] std::size_t reaped_process_count() const { return reaped_; }
   /// Fiber stacks this engine has mapped, in use or spare (0 on threads).
   [[nodiscard]] std::size_t fiber_stacks() const { return stacks_made_; }
+  /// Switches into a process body so far, on either backend: a body's start
+  /// and each resume that ran it. A run-ahead, and a resume that runs a
+  /// parked body's step (Process::park), switch nothing.
+  [[nodiscard]] std::uint64_t body_switches() const { return body_switches_; }
 
  private:
   friend class Process;
@@ -228,6 +240,7 @@ class Engine {
   /// Stacks of finished fibers, taken from the back by the next to start.
   std::vector<fiber::Stack> spare_stacks_;
   std::size_t stacks_made_ = 0;
+  std::uint64_t body_switches_ = 0;
 };
 
 }  // namespace pisces::sim

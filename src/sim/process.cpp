@@ -157,6 +157,7 @@ void Process::run_slice() {
     backend_ = engine_.make_backend(*this);
   }
   state_ = State::running;
+  ++engine_.body_switches_;
   backend_->resume();
   // Give the stack/thread up now rather than at reap time, so the next
   // process to start reuses the stack and churny workloads stay flat.
@@ -165,26 +166,30 @@ void Process::run_slice() {
 
 void Process::switch_to_engine() { backend_->suspend(); }
 
-bool Process::wait_until(Tick deadline) {
+void Process::arm_wait(Tick deadline) {
   if (kill_requested_) throw ProcessKilled{};
   const std::uint64_t epoch = ++wait_epoch_;
   timed_out_ = false;
   state_ = State::blocked;
   if (deadline != kForever) schedule_resume(deadline, /*timeout=*/true, epoch);
-  switch_to_engine();
-  if (kill_requested_) throw ProcessKilled{};
-  return timed_out_;
 }
 
-void Process::sleep_until(Tick at) {
+bool Process::arm_sleep(Tick at) {
   if (kill_requested_) throw ProcessKilled{};
   const std::uint64_t epoch = ++wait_epoch_;
   timed_out_ = false;
   // Decided here, before any switch, so both backends take the same path.
-  if (engine_.run_ahead(at)) return;
+  if (engine_.run_ahead(at)) return false;
   state_ = State::blocked;
   schedule_resume(at, /*timeout=*/false, epoch);
+  return true;
+}
+
+void Process::park(Step step, void* arg) {
+  step_ = step;
+  step_arg_ = arg;
   switch_to_engine();
+  step_ = nullptr;
   if (kill_requested_) throw ProcessKilled{};
 }
 
@@ -199,6 +204,8 @@ void Process::fire_resume(std::uint64_t word) {
     return;
   }
   timed_out_ = (word & 1U) != 0;
+  // A killed process is never stepped: the body unwinds from its park.
+  if (step_ != nullptr && !kill_requested_ && !step_(step_arg_)) return;
   run_slice();
 }
 

@@ -91,12 +91,44 @@ class Process {
 
   /// Block until woken or until virtual time `deadline`. Returns true if the
   /// deadline fired first (timeout), false if explicitly woken.
-  bool wait_until(Tick deadline);
+  bool wait_until(Tick deadline) {
+    arm_wait(deadline);
+    park(nullptr, nullptr);
+    return timed_out_;
+  }
 
   /// Yield and resume at time `at` (>= now). Other processes run meanwhile;
   /// when none has an event due by `at`, the process runs ahead instead
   /// (see Engine) and returns without yielding.
-  void sleep_until(Tick at);
+  void sleep_until(Tick at) {
+    if (arm_sleep(at)) park(nullptr, nullptr);
+  }
+
+  // ---- The two waits above, split into arming and switching. A body that
+  // would wake only to arm its next wait parks on an engine-side step
+  // instead (mmos::Proc's compute slices do). Arming is valid from inside
+  // the body, or from that step while the body is parked. ----
+
+  /// The engine-side step a parked body waits on: it arms the next wait
+  /// and returns false, or returns true to switch the body in.
+  using Step = bool (*)(void*);
+
+  /// Arm wait_until(deadline) without switching: the process is blocked
+  /// until woken or, unless `deadline` is kForever, until the deadline.
+  /// Throws ProcessKilled if the process has been killed.
+  void arm_wait(Tick deadline);
+  /// Arm sleep_until(at) without switching. Returns false, with nothing
+  /// armed, when the process runs ahead to `at` instead. Throws
+  /// ProcessKilled if the process has been killed.
+  bool arm_sleep(Tick at);
+  /// Switch to the engine until the armed wait ends. While parked, each
+  /// resume that would switch the body in runs `step(arg)` on the engine
+  /// side instead, as long as the process has not been killed; the body is
+  /// switched in once the step returns true, or by the first resume after
+  /// a kill, and then throws ProcessKilled. A null `step` switches the body
+  /// in at the first resume. The step runs while the body is suspended (on
+  /// the engine thread with the thread backend), and must not throw.
+  void park(Step step, void* arg);
 
  private:
   friend class Engine;
@@ -118,7 +150,8 @@ class Process {
   /// packs it with `epoch`.
   void schedule_resume(Tick at, bool timeout, std::uint64_t epoch);
   /// Engine side: a resume event fired. A no-op when stale (its wait has
-  /// already ended, or the process has finished).
+  /// already ended, or the process has finished). Runs the parked body's
+  /// step, or switches the body in.
   void fire_resume(std::uint64_t word);
   /// Mark finished and release per-process resources kept for the body.
   void finish();
@@ -134,6 +167,8 @@ class Process {
   std::uint64_t wait_epoch_ = 0;  ///< invalidates stale resume events
   bool timed_out_ = false;        ///< result of the last wait_until
   bool kill_requested_ = false;
+  Step step_ = nullptr;        ///< set while the body is parked on a step
+  void* step_arg_ = nullptr;
 
   // Lifetime (see Engine::release): the record is destroyed once it is
   // released, finished and reaped, and no queued resume names it.

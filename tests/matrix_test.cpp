@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "core/matrix.hpp"
+#include "core/window.hpp"
 #include "fsim/file_store.hpp"
 
 namespace pisces::rt {
@@ -86,6 +87,41 @@ TEST(RectCopy, RectangleEndingPastIntMaxIsRefused) {
   EXPECT_EQ(out_of_range_message([&] { return paste(Rect{0, big, 1, 1}); }),
             "paste_rect: [0:1,2147483647:2147483648) outside 4x4");
   EXPECT_EQ(m, Matrix(4, 4));
+}
+
+TEST(RectOverlap, RectangleEndingPastIntMaxIsComparedIn64Bits) {
+  // Summed in int, the far edge of a rectangle at INT_MAX would wrap (a
+  // signed overflow, which UBSan reports).
+  const int big = std::numeric_limits<int>::max();
+  const Rect small{0, 0, 4, 4};
+  const Rect last_row{big, 0, 1, 1};
+  const Rect last_col{0, big, 1, 1};
+  const Rect corner{big, big, 1, 1};
+  const Rect last_two_rows{big - 1, 0, 2, 1};
+  EXPECT_FALSE(small.overlaps(last_row));
+  EXPECT_FALSE(last_row.overlaps(small));
+  EXPECT_FALSE(small.overlaps(last_col));
+  EXPECT_FALSE(last_col.overlaps(small));
+  EXPECT_TRUE(corner.overlaps(corner));
+  EXPECT_TRUE(last_two_rows.overlaps(last_row));
+}
+
+TEST(WindowShrink, SubrectangleOutsideAWindowNearIntMaxIsRefused) {
+  // The window's own extent is checked before the origins are added, so
+  // nothing is summed past INT_MAX.
+  const int big = std::numeric_limits<int>::max();
+  Window w;
+  w.rect = Rect{big - 1, 0, 1, 1};
+  EXPECT_EQ(out_of_range_message([&] { return w.shrink(Rect{5, 0, 1, 1}); }),
+            "shrink: subrectangle [5:6,0:1) exceeds window [2147483646:2147483647,0:1)");
+  w.rect = Rect{0, big - 1, 1, 1};
+  EXPECT_EQ(out_of_range_message([&] { return w.shrink(Rect{0, 5, 1, 1}); }),
+            "shrink: subrectangle [0:1,5:6) exceeds window [0:1,2147483646:2147483647)");
+  // A window that itself ends past INT_MAX: the new origin would not fit.
+  w.rect = Rect{big - 1, 0, 5, 1};
+  EXPECT_EQ(out_of_range_message([&] { return w.shrink(Rect{3, 0, 1, 1}); }),
+            "shrink: subrectangle [3:4,0:1) exceeds window [2147483646:2147483651,0:1)");
+  EXPECT_EQ(w.shrink(Rect{1, 0, 1, 1}).rect, (Rect{big, 0, 1, 1}));
 }
 
 }  // namespace

@@ -825,6 +825,63 @@ TEST_P(BackendTest, ReapLeavesLiveProcessesScannable) {
   EXPECT_EQ(eng.live_process_count(), 1u);
 }
 
+// A parked body's resumes run its step on the engine side. The body is
+// switched in at its start and then only once the step reports it done, or
+// by the first resume after a kill, from which it unwinds; the step's waits
+// are the same events the body's own waits would be.
+struct Rearm {
+  Engine* eng = nullptr;
+  Process* self = nullptr;
+  int steps = 0;
+  /// Re-arms a 100-tick wait four times, then lets the body continue.
+  static bool step(void* arg) {
+    auto& r = *static_cast<Rearm*>(arg);
+    if (++r.steps == 5) return true;
+    r.self->arm_wait(r.eng->now() + 100);
+    return false;
+  }
+};
+
+TEST_P(BackendTest, ParkedBodyIsSwitchedInOnlyWhenItsStepIsDone) {
+  Engine eng(GetParam());
+  Rearm r{&eng};
+  Tick resumed_at = -1;
+  Process& p = eng.spawn("parker", [&](Process& self) {
+    r.self = &self;
+    self.arm_wait(eng.now() + 100);
+    self.park(&Rearm::step, &r);
+    resumed_at = eng.now();
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  eng.run();
+  EXPECT_EQ(resumed_at, 500);
+  EXPECT_EQ(r.steps, 5);
+  EXPECT_EQ(eng.body_switches(), 2u);  // its start and its return from park
+  EXPECT_EQ(eng.events_fired(), 7u);   // the wake, its resume, five deadlines
+  EXPECT_EQ(p.state(), Process::State::finished);
+}
+
+TEST_P(BackendTest, KilledParkedBodyUnwindsWithoutAnotherStep) {
+  Engine eng(GetParam());
+  Rearm r{&eng};
+  bool returned = false;
+  Process& p = eng.spawn("victim", [&](Process& self) {
+    r.self = &self;
+    self.arm_wait(eng.now() + 100);
+    self.park(&Rearm::step, &r);
+    returned = true;
+  });
+  eng.schedule(0, [&] { eng.wake(p); });
+  eng.schedule(250, [&] { eng.kill(p); });
+  eng.run();
+  EXPECT_FALSE(returned);
+  EXPECT_EQ(r.steps, 2);  // the deadlines at 100 and 200
+  EXPECT_EQ(p.state(), Process::State::finished);
+  EXPECT_EQ(eng.body_switches(), 2u);  // its start and its unwind
+  // The deadline armed at 200 still fires at 300, stale.
+  EXPECT_EQ(eng.now(), 300);
+}
+
 // ---------------------------------------------------------------------------
 // Stack recycling: a finished fiber's stack serves the next process to start,
 // so an engine maps no more stacks than the most fibers ever live at once.
