@@ -290,7 +290,7 @@ void recovery_latency_table(Report& report) {
     config::Configuration cfg = config::Configuration::simple(2);
     cfg.faults.pe_halts.push_back({4, halt_at});
     cfg.supervision.enabled = true;
-    cfg.supervision.backoff_base = backoff_base;
+    cfg.supervision.backoff.base = backoff_base;
     const config::SupervisionConfig scfg = cfg.supervision;
     Sim sim(std::move(cfg));
     session::Supervisor sup(sim.rt(), scfg);

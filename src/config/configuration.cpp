@@ -119,19 +119,14 @@ std::vector<std::string> Configuration::validate_knobs(
   if (supervision.max_restarts < 0) {
     err("supervision restart budget must be >= 0");
   }
-  if (supervision.backoff_base <= 0) err("supervision backoff base must be > 0");
-  if (supervision.backoff_factor < 1.0) {
-    err("supervision backoff factor must be >= 1");
-  }
-  if (supervision.backoff_cap < supervision.backoff_base) {
-    err("supervision backoff cap must be >= the base");
-  }
+  auto check_backoff = [&err](const sim::Backoff& b, const std::string& policy) {
+    if (b.base <= 0) err(policy + " backoff base must be > 0");
+    if (b.factor < 1.0) err(policy + " backoff factor must be >= 1");
+    if (b.cap < b.base) err(policy + " backoff cap must be >= the base");
+  };
+  check_backoff(supervision.backoff, "supervision");
   if (reliable.max_retries < 0) err("reliable retry budget must be >= 0");
-  if (reliable.backoff_base <= 0) err("reliable backoff base must be > 0");
-  if (reliable.backoff_factor < 1.0) err("reliable backoff factor must be >= 1");
-  if (reliable.backoff_cap < reliable.backoff_base) {
-    err("reliable backoff cap must be >= the base");
-  }
+  check_backoff(reliable.backoff, "reliable");
   if (reliable.ack_flush_ticks <= 0) err("reliable ack flush window must be > 0");
   if (reliable.send_deadline < 0) {
     err("reliable send deadline must be >= 0 (0 disables it)");
@@ -210,13 +205,13 @@ void Configuration::save(std::ostream& os) const {
   }
   if (supervision.enabled) {
     os << "supervision " << supervision.max_restarts << " "
-       << supervision.backoff_base << " " << prob(supervision.backoff_factor)
-       << " " << supervision.backoff_cap << " "
+       << supervision.backoff.base << " " << prob(supervision.backoff.factor)
+       << " " << supervision.backoff.cap << " "
        << (supervision.migrate ? 1 : 0) << "\n";
   }
   if (reliable.enabled) {
-    os << "reliable " << reliable.max_retries << " " << reliable.backoff_base
-       << " " << prob(reliable.backoff_factor) << " " << reliable.backoff_cap
+    os << "reliable " << reliable.max_retries << " " << reliable.backoff.base
+       << " " << prob(reliable.backoff.factor) << " " << reliable.backoff.cap
        << " " << reliable.ack_flush_ticks << " " << reliable.send_deadline
        << "\n";
   }
@@ -311,13 +306,13 @@ void read_line(LineReader& r, Configuration& cfg, const std::string& key) {
     r.values(key, rc.pe, rc.at);
   } else if (key == "supervision") {
     auto& s = cfg.supervision;
-    r.values(key, s.max_restarts, s.backoff_base, s.backoff_factor, s.backoff_cap,
+    r.values(key, s.max_restarts, s.backoff.base, s.backoff.factor, s.backoff.cap,
              s.migrate);
     s.enabled = true;
   } else if (key == "reliable") {
     auto& rel = cfg.reliable;
-    r.values(key, rel.max_retries, rel.backoff_base, rel.backoff_factor,
-             rel.backoff_cap, rel.ack_flush_ticks, rel.send_deadline);
+    r.values(key, rel.max_retries, rel.backoff.base, rel.backoff.factor,
+             rel.backoff.cap, rel.ack_flush_ticks, rel.send_deadline);
     rel.enabled = true;
   } else {
     r.fail("unknown key '" + key + "'");

@@ -10,6 +10,7 @@
 #include "flex/fault.hpp"
 #include "flex/machine.hpp"
 #include "mmos/loadfile.hpp"
+#include "sim/backoff.hpp"
 #include "sim/time.hpp"
 #include "trace/event.hpp"
 
@@ -67,9 +68,7 @@ struct TraceSettings {
 struct SupervisionConfig {
   bool enabled = false;
   int max_restarts = 3;
-  sim::Tick backoff_base = 250'000;
-  double backoff_factor = 2.0;
-  sim::Tick backoff_cap = 16'000'000;
+  sim::Backoff backoff{250'000, 2.0, 16'000'000};
   bool migrate = true;  ///< re-route queued work off dead clusters
 };
 
@@ -84,9 +83,8 @@ struct SupervisionConfig {
 struct ReliableConfig {
   bool enabled = false;
   int max_retries = 6;                  ///< retransmit attempts after the first copy
-  sim::Tick backoff_base = 150'000;     ///< first retransmit delay
-  double backoff_factor = 2.0;
-  sim::Tick backoff_cap = 2'000'000;    ///< retransmit delay ceiling
+  /// First retransmit delay 150k ticks, doubling up to a 2M-tick ceiling.
+  sim::Backoff backoff{150'000, 2.0, 2'000'000};
   sim::Tick ack_flush_ticks = 20'000;   ///< receiver ack latency (flush window)
   sim::Tick send_deadline = 0;          ///< 0 = none; else give up after this many ticks
 };

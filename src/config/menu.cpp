@@ -170,10 +170,11 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
     } else if (cmd == "supervise restarts") {
       usage = "supervise restarts <n>";
       r.values(cmd, next.supervision.max_restarts);
-    } else if (cmd == "supervise backoff") {
-      usage = "supervise backoff <base> <factor> <cap>";
-      auto& s = next.supervision;
-      r.values(cmd, s.backoff_base, s.backoff_factor, s.backoff_cap);
+    } else if (cmd == "supervise backoff" || cmd == "reliable backoff") {
+      usage = cmd + " <base> <factor> <cap>";
+      auto& b = cmd == "supervise backoff" ? next.supervision.backoff
+                                           : next.reliable.backoff;
+      r.values(cmd, b.base, b.factor, b.cap);
     } else if (cmd == "supervise migrate") {
       usage = "supervise migrate on|off";
       next.supervision.migrate = on_off(r, cmd);
@@ -183,10 +184,6 @@ bool ConfigMenu::apply(const std::string& line, std::ostream& out) {
     } else if (cmd == "reliable retries") {
       usage = "reliable retries <n>  (n >= 0)";
       r.values(cmd, next.reliable.max_retries);
-    } else if (cmd == "reliable backoff") {
-      usage = "reliable backoff <base> <factor> <cap>";
-      auto& rel = next.reliable;
-      r.values(cmd, rel.backoff_base, rel.backoff_factor, rel.backoff_cap);
     } else if (cmd == "reliable ack-flush") {
       usage = "reliable ack-flush <ticks>  (ticks > 0)";
       r.values(cmd, next.reliable.ack_flush_ticks);

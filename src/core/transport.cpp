@@ -358,10 +358,7 @@ void Transport::ReliableChannel::settle(std::uint64_t seq) {
 }
 
 sim::EventSlot Transport::retransmit_slot(int attempts) {
-  const config::ReliableConfig& rel = rt_->cfg_.reliable;
-  const sim::Tick delay =
-      sim::Backoff{rel.backoff_base, rel.backoff_factor, rel.backoff_cap}
-          .delay(attempts);
+  const sim::Tick delay = rt_->cfg_.reliable.backoff.delay(attempts);
   return rt_->engine().reserve_order(rt_->engine().now() + delay);
 }
 

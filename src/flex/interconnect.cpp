@@ -53,48 +53,11 @@ std::vector<std::string> TopologySpec::validate(int pe_count) const {
   return problems;
 }
 
-namespace {
-
-/// The paper's machine: every PE on one FIFO bus to shared memory. The
-/// arithmetic here is byte-for-byte the pre-topology Machine::shared_transfer
-/// path, so default configurations replay bit-identically.
-class SharedBusInterconnect final : public Interconnect {
- public:
-  SharedBusInterconnect(TopologySpec spec, int pe_count, const CostModel& costs)
-      : Interconnect(spec, pe_count, costs) {
-    buses_.resize(1);
+Interconnect::Interconnect(TopologySpec spec, int pe_count, const CostModel& costs)
+    : spec_(spec), costs_(&costs), clusters_(spec.hw_cluster_count(pe_count)) {
+  if (spec_.kind == Topology::shared) {
     labels_.push_back("shared bus");
-  }
-
-  int cluster_of(int) const override { return 0; }
-  int cluster_count() const override { return 1; }
-
-  sim::Tick access(sim::Tick now, int, sim::Tick words) override {
-    return buses_[0].transfer(now, local_duration(words));
-  }
-
-  sim::Tick transfer(sim::Tick now, int, int, sim::Tick words) override {
-    return buses_[0].transfer(now, local_duration(words));
-  }
-
-  void stall(sim::Tick now, int, int, sim::Tick duration) override {
-    buses_[0].stall(now, duration);
-  }
-
-  void note_faulted(int, int) override { buses_[0].note_faulted(); }
-};
-
-/// Per-cluster buses bridged by one backbone bus. A transfer between PEs in
-/// the same hardware cluster occupies only that cluster's bus; a cross-cluster
-/// transfer store-and-forwards source bus -> backbone -> destination bus.
-/// `numa` additionally scales the backbone's per-word cost with the cluster
-/// distance, modelling tiered NUMA links.
-class MultiBusInterconnect final : public Interconnect {
- public:
-  MultiBusInterconnect(TopologySpec spec, int pe_count, const CostModel& costs)
-      : Interconnect(spec, pe_count, costs),
-        clusters_(spec.hw_cluster_count(pe_count)) {
-    buses_.resize(static_cast<std::size_t>(clusters_) + 1);
+  } else {
     for (int c = 0; c < clusters_; ++c) {
       const int lo = c * spec_.pes_per_cluster + 1;
       const int hi = std::min((c + 1) * spec_.pes_per_cluster, pe_count);
@@ -103,72 +66,37 @@ class MultiBusInterconnect final : public Interconnect {
     }
     labels_.push_back("backbone bus");
   }
+  buses_.resize(labels_.size());
+}
 
-  int cluster_of(int pe) const override {
-    if (pe < 1) return 0;  // environment / no home PE
-    const int c = (pe - 1) / spec_.pes_per_cluster;
-    return c < clusters_ ? c : clusters_ - 1;
+sim::Tick Interconnect::transfer(sim::Tick now, int from_pe, int to_pe,
+                                 sim::Tick words) {
+  const int cf = cluster_of(from_pe);
+  const int ct = cluster_of(to_pe);
+  const sim::Tick local = local_duration(words);
+  const sim::Tick t1 = buses_[static_cast<std::size_t>(cf)].transfer(now, local);
+  if (cf == ct) return t1;
+  // numa scales the backbone's per-word cost with the cluster distance,
+  // modelling tiered NUMA links.
+  sim::Tick per_word = spec_.backbone_per_word;
+  if (spec_.kind == Topology::numa) {
+    per_word += static_cast<sim::Tick>(std::abs(cf - ct)) * spec_.numa_hop_per_word;
   }
-  int cluster_count() const override { return clusters_; }
+  const sim::Tick t2 =
+      buses_.back().transfer(t1, spec_.backbone_access + words * per_word);
+  return buses_[static_cast<std::size_t>(ct)].transfer(t2, local);
+}
 
-  sim::Tick access(sim::Tick now, int pe, sim::Tick words) override {
-    return cluster_bus(pe).transfer(now, local_duration(words));
+Interconnect::Totals Interconnect::totals() const {
+  Totals t;
+  for (const auto& b : buses_) {
+    t.busy_ticks += b.busy_ticks();
+    t.wait_ticks += b.wait_ticks();
+    t.transfers += b.transfers();
+    t.faulted_transfers += b.faulted_transfers();
   }
-
-  sim::Tick transfer(sim::Tick now, int from_pe, int to_pe,
-                     sim::Tick words) override {
-    const int cf = cluster_of(from_pe);
-    const int ct = cluster_of(to_pe);
-    if (cf == ct) {
-      return buses_[static_cast<std::size_t>(cf)].transfer(
-          now, local_duration(words));
-    }
-    const sim::Tick t1 = buses_[static_cast<std::size_t>(cf)].transfer(
-        now, local_duration(words));
-    const sim::Tick t2 = backbone().transfer(t1, backbone_duration(cf, ct, words));
-    return buses_[static_cast<std::size_t>(ct)].transfer(
-        t2, local_duration(words));
-  }
-
-  void stall(sim::Tick now, int from_pe, int to_pe,
-             sim::Tick duration) override {
-    // The fault model charges the delay to the contended link of the route:
-    // the backbone for cross-cluster routes, the shared cluster bus otherwise.
-    if (cluster_of(from_pe) != cluster_of(to_pe)) {
-      backbone().stall(now, duration);
-    } else {
-      cluster_bus(from_pe).stall(now, duration);
-    }
-  }
-
-  void note_faulted(int from_pe, int to_pe) override {
-    if (cluster_of(from_pe) != cluster_of(to_pe)) {
-      backbone().note_faulted();
-    } else {
-      cluster_bus(from_pe).note_faulted();
-    }
-  }
-
- private:
-  [[nodiscard]] Bus& cluster_bus(int pe) {
-    return buses_[static_cast<std::size_t>(cluster_of(pe))];
-  }
-  [[nodiscard]] Bus& backbone() { return buses_[static_cast<std::size_t>(clusters_)]; }
-
-  [[nodiscard]] sim::Tick backbone_duration(int cf, int ct,
-                                            sim::Tick words) const {
-    sim::Tick per_word = spec_.backbone_per_word;
-    if (spec_.kind == Topology::numa) {
-      per_word += static_cast<sim::Tick>(std::abs(cf - ct)) *
-                  spec_.numa_hop_per_word;
-    }
-    return spec_.backbone_access + words * per_word;
-  }
-
-  int clusters_;
-};
-
-}  // namespace
+  return t;
+}
 
 std::unique_ptr<Interconnect> make_interconnect(const TopologySpec& spec,
                                                 int pe_count,
@@ -179,10 +107,7 @@ std::unique_ptr<Interconnect> make_interconnect(const TopologySpec& spec,
     for (const auto& p : problems) msg += " " + p + ";";
     throw std::invalid_argument(msg);
   }
-  if (spec.kind == Topology::shared) {
-    return std::make_unique<SharedBusInterconnect>(spec, pe_count, costs);
-  }
-  return std::make_unique<MultiBusInterconnect>(spec, pe_count, costs);
+  return std::make_unique<Interconnect>(spec, pe_count, costs);
 }
 
 }  // namespace pisces::flex

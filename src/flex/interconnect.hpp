@@ -1,5 +1,6 @@
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -13,8 +14,8 @@
 namespace pisces::flex {
 
 /// Hard machine-model ceilings. The paper's FLEX/32 stops at 20 PEs on one
-/// shared bus; the pluggable interconnect raises the model to 1024 PEs in up
-/// to 64 hardware clusters (per-cluster buses bridged by a backbone).
+/// shared bus; the hierarchical interconnect raises the model to 1024 PEs in
+/// up to 64 hardware clusters (per-cluster buses bridged by a backbone).
 inline constexpr int kMaxPes = 1024;
 inline constexpr int kMaxHwClusters = 64;
 
@@ -52,20 +53,19 @@ struct TopologySpec {
   [[nodiscard]] int hw_cluster_count(int pe_count) const;
 };
 
-/// The pluggable interconnect: every transfer-billing path of the simulated
-/// machine (message sends, window copies, broadcast relay hops, force
-/// collective signals, fault stalls) routes through this interface, so the
-/// topology is a configuration choice rather than a property of the code.
-/// Mirrors how GASNet isolates transports behind conduits.
+/// The interconnect joining the PEs to shared memory and to each other.
+/// Every transfer-billing path of the simulated machine (message sends,
+/// window copies, broadcast relay hops, force collective signals, fault
+/// stalls) bills its buses. The PEs fall into hardware clusters, each on one
+/// bus: `hier` and `numa` join the cluster buses with a backbone bus, and
+/// `shared`, the paper's FLEX/32, is the one-cluster case with no backbone.
 ///
-/// All implementations keep the Bus FIFO-resource semantics: a transfer
-/// occupies each bus on its route in sequence (store-and-forward), and
-/// transfers issued while a bus is busy queue behind it.
+/// Every bus keeps the Bus FIFO-resource semantics: a transfer occupies each
+/// bus on its route in sequence (store-and-forward), and transfers issued
+/// while a bus is busy queue behind it.
 class Interconnect {
  public:
-  Interconnect(TopologySpec spec, int pe_count, const CostModel& costs)
-      : spec_(spec), pe_count_(pe_count), costs_(&costs) {}
-  virtual ~Interconnect() = default;
+  Interconnect(TopologySpec spec, int pe_count, const CostModel& costs);
   Interconnect(const Interconnect&) = delete;
   Interconnect& operator=(const Interconnect&) = delete;
 
@@ -73,41 +73,45 @@ class Interconnect {
   [[nodiscard]] Topology kind() const { return spec_.kind; }
 
   /// Hardware cluster of a PE (0-based; 0 for every PE under `shared`).
-  /// Out-of-range PEs (0 = "environment", no home PE) clamp to cluster 0.
-  [[nodiscard]] virtual int cluster_of(int pe) const = 0;
-  [[nodiscard]] virtual int cluster_count() const = 0;
+  /// Out-of-range PEs (0 = "environment", no home PE) clamp into range.
+  [[nodiscard]] int cluster_of(int pe) const {
+    if (pe < 1 || clusters_ == 1) return 0;
+    return std::min((pe - 1) / spec_.pes_per_cluster, clusters_ - 1);
+  }
+  [[nodiscard]] int cluster_count() const { return clusters_; }
 
   /// True when a from->to transfer must cross the backbone (never for
   /// `shared`; the partition fault family windows exactly these routes).
   [[nodiscard]] bool crosses_backbone(int from_pe, int to_pe) const {
-    return kind() != Topology::shared && cluster_of(from_pe) != cluster_of(to_pe);
+    return cluster_of(from_pe) != cluster_of(to_pe);
   }
 
   /// One-endpoint shared-memory access by `pe` (heap writes, force flag
-  /// publishes, window pulls): bills `pe`'s own bus only. Returns the
-  /// completion tick.
-  virtual sim::Tick access(sim::Tick now, int pe, sim::Tick words) = 0;
+  /// publishes, window pulls): bills `pe`'s own cluster bus only. Returns
+  /// the completion tick.
+  sim::Tick access(sim::Tick now, int pe, sim::Tick words) {
+    return cluster_bus(pe).transfer(now, local_duration(words));
+  }
 
   /// PE-to-PE transfer of `words`: bills every bus on the route (source
   /// cluster bus, then backbone, then destination cluster bus when the
   /// endpoints live in different hardware clusters). Returns the completion
   /// tick of the last hop.
-  virtual sim::Tick transfer(sim::Tick now, int from_pe, int to_pe,
-                             sim::Tick words) = 0;
+  sim::Tick transfer(sim::Tick now, int from_pe, int to_pe, sim::Tick words);
 
   /// Occupy the contended link of the from->to route for `duration` ticks
   /// without counting a transfer (fault injection: a stalled/retried
   /// transfer holding the link).
-  virtual void stall(sim::Tick now, int from_pe, int to_pe,
-                     sim::Tick duration) = 0;
+  void stall(sim::Tick now, int from_pe, int to_pe, sim::Tick duration) {
+    link(from_pe, to_pe).stall(now, duration);
+  }
 
   /// Record a transfer corrupted by fault injection on the from->to link.
-  virtual void note_faulted(int from_pe, int to_pe) = 0;
+  void note_faulted(int from_pe, int to_pe) { link(from_pe, to_pe).note_faulted(); }
 
   // ---- per-bus statistics (organization display, benches, tests) ----
   [[nodiscard]] std::size_t bus_count() const { return buses_.size(); }
   [[nodiscard]] const Bus& bus_at(std::size_t i) const { return buses_[i]; }
-  [[nodiscard]] Bus& bus_mutable(std::size_t i) { return buses_[i]; }
   [[nodiscard]] const std::string& bus_label(std::size_t i) const {
     return labels_[i];
   }
@@ -119,28 +123,25 @@ class Interconnect {
     std::uint64_t transfers = 0;
     std::uint64_t faulted_transfers = 0;
   };
-  [[nodiscard]] Totals totals() const {
-    Totals t;
-    for (const auto& b : buses_) {
-      t.busy_ticks += b.busy_ticks();
-      t.wait_ticks += b.wait_ticks();
-      t.transfers += b.transfers();
-      t.faulted_transfers += b.faulted_transfers();
-    }
-    return t;
-  }
+  [[nodiscard]] Totals totals() const;
 
- protected:
-  [[nodiscard]] const CostModel& costs() const { return *costs_; }
-  [[nodiscard]] int pe_count() const { return pe_count_; }
+ private:
+  [[nodiscard]] Bus& cluster_bus(int pe) {
+    return buses_[static_cast<std::size_t>(cluster_of(pe))];
+  }
+  /// The bus a fault on the from->to route is charged to: the backbone (the
+  /// last bus) for a cross-cluster route, the source cluster's bus otherwise.
+  [[nodiscard]] Bus& link(int from_pe, int to_pe) {
+    return crosses_backbone(from_pe, to_pe) ? buses_.back() : cluster_bus(from_pe);
+  }
   /// Duration of one local (cluster-bus) transfer leg.
   [[nodiscard]] sim::Tick local_duration(sim::Tick words) const {
     return costs_->shared_access + words * costs_->bus_per_word;
   }
 
   TopologySpec spec_;
-  int pe_count_;
   const CostModel* costs_;
+  int clusters_;
   std::vector<Bus> buses_;
   std::vector<std::string> labels_;
 };

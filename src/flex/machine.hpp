@@ -6,7 +6,6 @@
 #include <string>
 #include <vector>
 
-#include "flex/bus.hpp"
 #include "flex/cost_model.hpp"
 #include "flex/disk.hpp"
 #include "flex/interconnect.hpp"
@@ -61,9 +60,6 @@ class Machine {
   /// through it.
   [[nodiscard]] Interconnect& interconnect() { return *interconnect_; }
   [[nodiscard]] const Interconnect& interconnect() const { return *interconnect_; }
-  /// Legacy single-bus view: the first bus of the interconnect (the whole
-  /// machine under the default shared topology, cluster 0's bus otherwise).
-  [[nodiscard]] Bus& bus() { return interconnect_->bus_mutable(0); }
   [[nodiscard]] Disk& disk(int pe);
 
   /// Replace the interconnect (e.g. when a Configuration carries a

@@ -2,16 +2,12 @@
 
 #include <utility>
 
-#include "sim/backoff.hpp"
-
 namespace pisces::session {
 
 Supervisor::Supervisor(rt::Runtime& rt, config::SupervisionConfig cfg)
     : rt_(&rt), cfg_(cfg) {
   default_policy_.max_restarts = cfg.max_restarts;
-  default_policy_.backoff_base = cfg.backoff_base;
-  default_policy_.backoff_factor = cfg.backoff_factor;
-  default_policy_.backoff_cap = cfg.backoff_cap;
+  default_policy_.backoff = cfg.backoff;
   rt_->set_task_start_hook(
       [this](const rt::Runtime::TaskStartInfo& i) { on_start(i); });
   rt_->set_termination_hook(
@@ -86,10 +82,7 @@ void Supervisor::on_termination(const rt::Runtime::TerminationInfo& info) {
     return;
   }
   ++lin.attempts;
-  const sim::Tick delay =
-      sim::Backoff{lin.policy.backoff_base, lin.policy.backoff_factor,
-                   lin.policy.backoff_cap}
-          .delay(lin.attempts);
+  const sim::Tick delay = lin.policy.backoff.delay(lin.attempts);
   ++stats_.restarts_scheduled;
   trace(info.id, info.parent,
         "restart-scheduled " + info.tasktype + " attempt=" +

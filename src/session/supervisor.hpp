@@ -7,6 +7,7 @@
 
 #include "config/configuration.hpp"
 #include "core/runtime.hpp"
+#include "sim/backoff.hpp"
 
 namespace pisces::session {
 
@@ -15,9 +16,7 @@ namespace pisces::session {
 /// (delay = base · factor^(attempt-1), capped).
 struct RestartPolicy {
   int max_restarts = 3;
-  sim::Tick backoff_base = 250'000;
-  double backoff_factor = 2.0;
-  sim::Tick backoff_cap = 16'000'000;
+  sim::Backoff backoff{250'000, 2.0, 16'000'000};
 };
 
 struct SupervisorStats {

@@ -9,6 +9,7 @@ namespace pisces::sim {
 /// distributions, so benchmark output is stable.
 class Rng {
  public:
+  /// Seeds that differ only in bit 0 give the same stream.
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ull) : state_(seed | 1) {}
 
   std::uint64_t next() {

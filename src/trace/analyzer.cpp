@@ -86,24 +86,33 @@ std::vector<Analyzer::TaskTiming> Analyzer::task_timings() const {
 }
 
 std::vector<Analyzer::MessageTiming> Analyzer::message_timings() const {
-  std::map<std::uint64_t, MessageTiming> by_seq;
+  // Which halves of each pair were seen: a send or an accept may happen at
+  // tick 0, so a zero tick does not mean a missing half.
+  struct Pair {
+    MessageTiming m;
+    bool sent = false;
+    bool accepted = false;
+  };
+  std::map<std::uint64_t, Pair> by_seq;
   for (const Record& r : records_) {
     if (r.seq == 0) continue;
     if (r.kind == EventKind::msg_send) {
-      auto& m = by_seq[r.seq];
-      m.seq = r.seq;
-      m.from = r.task;
-      m.to = r.other;
-      m.sent = r.at;
+      auto& p = by_seq[r.seq];
+      p.m.seq = r.seq;
+      p.m.from = r.task;
+      p.m.to = r.other;
+      p.m.sent = r.at;
+      p.sent = true;
     } else if (r.kind == EventKind::msg_accept) {
-      auto& m = by_seq[r.seq];
-      m.seq = r.seq;
-      m.accepted = r.at;
+      auto& p = by_seq[r.seq];
+      p.m.seq = r.seq;
+      p.m.accepted = r.at;
+      p.accepted = true;
     }
   }
   std::vector<MessageTiming> out;
-  for (auto& [seq, m] : by_seq) {
-    if (m.sent != 0 && m.accepted != 0) out.push_back(m);
+  for (auto& [seq, p] : by_seq) {
+    if (p.sent && p.accepted) out.push_back(p.m);
   }
   return out;
 }
@@ -151,13 +160,9 @@ std::map<int, std::uint64_t> Analyzer::pe_activity() const {
 std::string Analyzer::report() const {
   std::ostringstream os;
   os << "=== trace analysis (" << records_.size() << " records) ===\n";
-  static constexpr EventKind kAll[] = {
-      EventKind::task_init,  EventKind::task_term, EventKind::msg_send,
-      EventKind::msg_accept, EventKind::lock,      EventKind::unlock,
-      EventKind::barrier_enter, EventKind::force_split,
-      EventKind::dead_letter, EventKind::fault, EventKind::child_term};
-  for (EventKind k : kAll) {
-    os << "  " << kind_name(k) << ": " << count(k) << '\n';
+  for (int k = 0; k < kEventKindCount; ++k) {
+    const auto kind = static_cast<EventKind>(k);
+    os << "  " << kind_name(kind) << ": " << count(kind) << '\n';
   }
   const auto tasks = task_timings();
   os << "tasks observed: " << tasks.size() << '\n';

@@ -23,12 +23,12 @@ std::vector<sim::Tick> delays(const sim::Backoff& b, int attempts) {
 TEST(Backoff, PinsTheFourSchedules) {
   // Reliable retransmit, from the ReliableConfig defaults: saturates at 2M.
   const config::ReliableConfig rel;
-  EXPECT_EQ(delays({rel.backoff_base, rel.backoff_factor, rel.backoff_cap}, 7),
+  EXPECT_EQ(delays({rel.backoff.base, rel.backoff.factor, rel.backoff.cap}, 7),
             (std::vector<sim::Tick>{150'000, 300'000, 600'000, 1'200'000,
                                     2'000'000, 2'000'000, 2'000'000}));
   // Supervisor restart, from the RestartPolicy defaults: saturates at 16M.
   const session::RestartPolicy pol;
-  EXPECT_EQ(delays({pol.backoff_base, pol.backoff_factor, pol.backoff_cap}, 9),
+  EXPECT_EQ(delays({pol.backoff.base, pol.backoff.factor, pol.backoff.cap}, 9),
             (std::vector<sim::Tick>{250'000, 500'000, 1'000'000, 2'000'000,
                                     4'000'000, 8'000'000, 16'000'000,
                                     16'000'000, 16'000'000}));

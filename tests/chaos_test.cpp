@@ -43,6 +43,7 @@ struct RunResult {
   bool timed_out = false;
   int results_received = 0;
   int childterms_seen = 0;  ///< _CHILDTERM messages the master consumed
+  int masters = 0;          ///< master bodies started
   std::map<TaskId, std::string> abnormal;  ///< from the trace analyzer
 
   [[nodiscard]] auto key() const {
@@ -58,6 +59,33 @@ struct RunResult {
 
 constexpr int kWorkers = 6;
 constexpr int kRounds = 2;
+
+/// Starts the harness's master on cluster 1, exactly once. The user's
+/// tick-0 _INITIATE meets the plan's bus faults like any other message, and
+/// the raw transport decides inside the call whether the copy is lost (no
+/// master runs) or duplicated (two run). Either way the queued copies are
+/// deleted and the INITIATE issued again; a run whose first copy arrives
+/// once keeps its trajectory. With the reliable channel on this is not
+/// needed: the channel delivers the copy once.
+void initiate_one_master(Runtime& rt) {
+  const flex::FaultInjector* faults = rt.fault_injector();
+  if (faults == nullptr) {
+    rt.user_initiate(1, "master");
+    return;
+  }
+  for (int attempt = 0; attempt < 100; ++attempt) {
+    const flex::FaultStats before = faults->stats();
+    rt.user_initiate(1, "master");
+    const flex::FaultStats& after = faults->stats();
+    if (after.bus_duplicated != before.bus_duplicated) {
+      (void)rt.delete_messages(rt.cluster(1).controller_id(), "_INITIATE");
+    } else if (after.bus_lost == before.bus_lost &&
+               after.bus_partition_drops == before.bus_partition_drops) {
+      return;
+    }
+  }
+  ADD_FAILURE() << "no copy of the master's INITIATE arrived once";
+}
 
 /// Master/worker placement workload under a fault plan. Every wait is
 /// bounded, so the run finishes degraded (fewer results) rather than
@@ -88,6 +116,7 @@ RunResult run_chaos(const flex::FaultPlan& plan,
     ctx.accept(AcceptSpec{}.of("work", kRounds).delay_for(20'000'000));
   });
   rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    ++out.masters;
     std::vector<TaskId> kids;
     ctx.on_message("hello", [&kids](TaskContext&, const Message& m) {
       kids.push_back(m.args.at(0).as_taskid());
@@ -111,7 +140,7 @@ RunResult run_chaos(const flex::FaultPlan& plan,
     }
   });
   rt.boot();
-  rt.user_initiate(1, "master");
+  initiate_one_master(rt);
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
   const RuntimeStats& st = rt.stats();
@@ -124,7 +153,7 @@ RunResult run_chaos(const flex::FaultPlan& plan,
   out.tasks_killed = st.tasks_killed;
   out.childterms_posted = st.childterms_posted;
   if (const auto* fi = rt.fault_injector()) out.faults = fi->stats();
-  const flex::Bus& bus = machine.bus();
+  const flex::Bus& bus = machine.interconnect().bus_at(0);
   out.bus_busy_ticks = bus.busy_ticks();
   out.bus_wait_ticks = bus.wait_ticks();
   out.bus_transfers = bus.transfers();
@@ -208,6 +237,7 @@ TEST_P(ChaosSweep, InvariantsHoldAcrossFaultMixes) {
                  " bus_loss=" + std::to_string(plan.bus_loss) +
                  " outages=" + std::to_string(plan.heap_outages.size()));
     const RunResult r = run_chaos(plan);
+    EXPECT_EQ(r.masters, 1);
     // Nothing may hang: all waits are bounded, so the run quiesces before
     // the configured time limit.
     EXPECT_FALSE(r.timed_out);
@@ -253,6 +283,7 @@ TEST_P(ChaosSweep, IdenticalSeedsReplayBitIdentically) {
   const std::uint64_t seed = GetParam();
   const RunResult a = run_chaos(combo_mix(seed));
   const RunResult b = run_chaos(combo_mix(seed));
+  EXPECT_EQ(a.masters, 1);
   EXPECT_EQ(a.key(), b.key());
   EXPECT_EQ(a.abnormal, b.abnormal);
 }
@@ -644,6 +675,7 @@ struct ForceRunResult {
   int criticals = 0;  ///< CRITICAL bodies entered, by every member
   int progress_seen = 0;
   int ends_seen = 0;  ///< "done" or _CHILDTERM, one per forcer at most
+  int masters = 0;    ///< master bodies started
   sim::Tick killed_at = 0;  ///< when a forcer was killed inside a force
   std::size_t heap_in_use = 0;
   bool timed_out = false;
@@ -718,6 +750,7 @@ ForceRunResult run_force_chaos(std::uint64_t seed, sim::Backend backend) {
     ctx.send(Dest::Parent(), "done");
   });
   rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    ++out.masters;
     auto count = [](int& n) {
       return [&n](TaskContext&, const Message&) { ++n; };
     };
@@ -752,7 +785,7 @@ ForceRunResult run_force_chaos(std::uint64_t seed, sim::Backend backend) {
   };
   eng.schedule(kill_at, kill_mid_force);
   rt.boot();
-  rt.user_initiate(1, "master");
+  initiate_one_master(rt);
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
   const RuntimeStats& st = rt.stats();
@@ -780,6 +813,7 @@ class ChaosForceSweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(ChaosForceSweep, ForcesUnwindAndLeaveNoRecords) {
   const std::uint64_t seed = GetParam();
   const ForceRunResult r = run_force_chaos(seed, sim::Backend::fibers);
+  EXPECT_EQ(r.masters, 1);
   EXPECT_FALSE(r.timed_out);
   EXPECT_TRUE(r.counters_consistent);
   // Drained: every finished process's record is gone; only the live
@@ -823,6 +857,7 @@ struct SupRunResult {
   int results = 0;
   int supfails = 0;
   int childterms_seen = 0;
+  int masters = 0;  ///< master bodies started
 
   [[nodiscard]] auto key() const {
     return std::tuple(end_tick, events_fired, tasks_started, tasks_finished,
@@ -848,9 +883,9 @@ SupRunResult run_supervised(const flex::FaultPlan& plan, sim::Backend backend) {
   cfg.faults = plan;
   cfg.supervision.enabled = true;
   cfg.supervision.max_restarts = 2;
-  cfg.supervision.backoff_base = 300'000;
-  cfg.supervision.backoff_factor = 2.0;
-  cfg.supervision.backoff_cap = 4'000'000;
+  cfg.supervision.backoff.base = 300'000;
+  cfg.supervision.backoff.factor = 2.0;
+  cfg.supervision.backoff.cap = 4'000'000;
   cfg.supervision.migrate = true;
   cfg.time_limit = 300'000'000;
   const config::SupervisionConfig scfg = cfg.supervision;
@@ -863,6 +898,7 @@ SupRunResult run_supervised(const flex::FaultPlan& plan, sim::Backend backend) {
     ctx.send(Dest::Parent(), "result");
   });
   rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    ++out.masters;
     ctx.on_message("result",
                    [&out](TaskContext&, const Message&) { ++out.results; });
     ctx.on_message("_SUPFAIL",
@@ -882,7 +918,7 @@ SupRunResult run_supervised(const flex::FaultPlan& plan, sim::Backend backend) {
     }
   });
   rt.boot();
-  rt.user_initiate(1, "master");
+  initiate_one_master(rt);
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
   const RuntimeStats& st = rt.stats();
@@ -970,6 +1006,7 @@ TEST_P(SupervisedSweep, LivenessUnderPolicyHolds) {
                  " halts=" + std::to_string(plan.pe_halts.size()) +
                  " slowdowns=" + std::to_string(plan.pe_slowdowns.size()));
     const SupRunResult r = run_supervised(plan, sim::default_backend());
+    EXPECT_EQ(r.masters, 1);
     // Liveness under policy: the run quiesces within its bound, and every
     // worker lineage resolved — a result arrived or the failure escalated.
     EXPECT_FALSE(r.timed_out);
@@ -993,6 +1030,7 @@ TEST_P(SupervisedSweep, StormKeepsLivenessInvariantsAndReplays) {
       run_supervised(plan, sim::default_backend());
   // Lossy channels can eat results, so only the structural invariants are
   // asserted — plus bit-identical replay of the whole trajectory.
+  EXPECT_EQ(a.masters, 1);
   EXPECT_FALSE(a.timed_out);
   EXPECT_EQ(a.sup.budgets_exhausted + a.sup.restart_posts_failed,
             a.sup.escalations_delivered + a.sup.escalations_dropped);
@@ -1009,6 +1047,7 @@ TEST_P(SupervisedSweep, SupervisedReplayIsBackendIdentical) {
   const flex::FaultPlan plan = sup_halt_recover_mix(GetParam());
   const SupRunResult fibers = run_supervised(plan, sim::Backend::fibers);
   const SupRunResult threads = run_supervised(plan, sim::Backend::threads);
+  EXPECT_EQ(fibers.masters, 1);
   EXPECT_EQ(fibers.key(), threads.key());
 }
 
@@ -1045,9 +1084,9 @@ SupRunResult run_topo_supervised(const flex::FaultPlan& plan,
   cfg.faults = plan;
   cfg.supervision.enabled = true;
   cfg.supervision.max_restarts = 2;
-  cfg.supervision.backoff_base = 300'000;
-  cfg.supervision.backoff_factor = 2.0;
-  cfg.supervision.backoff_cap = 4'000'000;
+  cfg.supervision.backoff.base = 300'000;
+  cfg.supervision.backoff.factor = 2.0;
+  cfg.supervision.backoff.cap = 4'000'000;
   cfg.supervision.migrate = true;
   cfg.time_limit = 300'000'000;
   const config::SupervisionConfig scfg = cfg.supervision;
@@ -1060,6 +1099,7 @@ SupRunResult run_topo_supervised(const flex::FaultPlan& plan,
     ctx.send(Dest::Parent(), "result");
   });
   rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    ++out.masters;
     ctx.on_message("result",
                    [&out](TaskContext&, const Message&) { ++out.results; });
     ctx.on_message("_SUPFAIL",
@@ -1084,7 +1124,7 @@ SupRunResult run_topo_supervised(const flex::FaultPlan& plan,
   rt.boot();
   EXPECT_EQ(machine.interconnect().kind(), flex::Topology::hier);
   EXPECT_EQ(machine.interconnect().cluster_count(), 4);
-  rt.user_initiate(1, "master");
+  initiate_one_master(rt);
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
   const RuntimeStats& st = rt.stats();
@@ -1128,6 +1168,7 @@ class TopologySweep : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(TopologySweep, HierChaosKeepsLivenessAndReplays) {
   const flex::FaultPlan plan = topo_storm_mix(GetParam());
   const SupRunResult a = run_topo_supervised(plan, sim::default_backend());
+  EXPECT_EQ(a.masters, 1);
   // Liveness under topology + partitions + supervision: the run quiesces,
   // escalation accounting balances, nothing leaks, live counters hold.
   EXPECT_FALSE(a.timed_out);
@@ -1150,6 +1191,7 @@ TEST_P(TopologySweep, HierChaosIsBackendIdentical) {
   const flex::FaultPlan plan = topo_storm_mix(GetParam());
   const SupRunResult fibers = run_topo_supervised(plan, sim::Backend::fibers);
   const SupRunResult threads = run_topo_supervised(plan, sim::Backend::threads);
+  EXPECT_EQ(fibers.masters, 1);
   EXPECT_EQ(fibers.key(), threads.key());
 }
 
@@ -1181,6 +1223,7 @@ struct ReliableRunResult {
   std::size_t heap_in_use = 0;
   bool timed_out = false;
   int results_received = 0;
+  int masters = 0;  ///< master bodies started
 
   [[nodiscard]] auto key() const {
     return std::tuple(end_tick, events_fired, messages_sent, messages_accepted,
@@ -1222,6 +1265,7 @@ ReliableRunResult run_reliable(
     ctx.accept(AcceptSpec{}.of("work", kRounds).delay_for(40'000'000));
   });
   rt.register_tasktype("master", [&out](TaskContext& ctx) {
+    ++out.masters;
     std::vector<TaskId> kids;
     ctx.on_message("hello", [&kids](TaskContext&, const Message& m) {
       kids.push_back(m.args.at(0).as_taskid());
@@ -1242,7 +1286,11 @@ ReliableRunResult run_reliable(
   });
   rt.boot();
   if (observe) observe(rt);
-  rt.user_initiate(1, "master");
+  if (rel.enabled) {
+    rt.user_initiate(1, "master");
+  } else {
+    initiate_one_master(rt);
+  }
   out.end_tick = rt.run();
   out.events_fired = eng.events_fired();
   const RuntimeStats& st = rt.stats();
@@ -1315,8 +1363,9 @@ TEST_P(ReliableSweep, ExactlyOnceUnderLossAndDuplication) {
     const ReliableRunResult r =
         run_reliable(plan, reliable_on(), sim::default_backend());
     // Exactly-once: every application message reached its consumer despite
-    // the lossy, duplicating bus — full results, no dead letters, nothing
-    // hung, no send gave up.
+    // the lossy, duplicating bus — one master, full results, no dead
+    // letters, nothing hung, no send gave up.
+    EXPECT_EQ(r.masters, 1);
     EXPECT_FALSE(r.timed_out);
     EXPECT_EQ(r.results_received, kWorkers * kRounds);
     EXPECT_EQ(r.dead_letters, 0u);
@@ -1346,6 +1395,7 @@ TEST_P(ReliableSweep, ReplayAndBackendIdentity) {
       run_reliable(plan, reliable_on(), sim::Backend::fibers);
   const ReliableRunResult threads =
       run_reliable(plan, reliable_on(), sim::Backend::threads);
+  EXPECT_EQ(fibers.masters, 1);
   EXPECT_EQ(fibers.key(), threads.key());
   const ReliableRunResult again =
       run_reliable(plan, reliable_on(), sim::Backend::fibers);
@@ -1359,6 +1409,7 @@ TEST_P(ReliableSweep, OffLeavesTrajectoryUntouched) {
   const flex::FaultPlan plan = reliable_mix(GetParam());
   const ReliableRunResult off =
       run_reliable(plan, config::ReliableConfig{}, sim::default_backend());
+  EXPECT_EQ(off.masters, 1);
   EXPECT_EQ(off.reliable_sends, 0u);
   EXPECT_EQ(off.reliable_copies_sent, 0u);
   EXPECT_EQ(off.retransmits, 0u);
@@ -1389,7 +1440,7 @@ TEST(Reliable, SendFailSurfacesTypedMessageWhenBudgetExhausts) {
     cfg.faults.bus_partitions.push_back({1, 2, 1'500'000, 900'000'000});
     cfg.reliable.enabled = true;
     cfg.reliable.max_retries = 3;
-    cfg.reliable.backoff_base = 100'000;
+    cfg.reliable.backoff.base = 100'000;
     cfg.time_limit = 900'000'000;
     Runtime rt(sys, std::move(cfg));
     std::string failed_type;
@@ -1445,7 +1496,7 @@ TEST(Reliable, RetransmitDoesNotResurrectConsumedMessage) {
     mmos::System sys{machine};
     config::Configuration cfg = config::Configuration::simple(2);
     cfg.reliable.enabled = true;
-    cfg.reliable.backoff_base = 50'000;      // retransmit at +50k...
+    cfg.reliable.backoff.base = 50'000;      // retransmit at +50k...
     cfg.reliable.ack_flush_ticks = 300'000;  // ...long before the ack flushes
     cfg.time_limit = 40'000'000;
     Runtime rt(sys, std::move(cfg));
@@ -1540,7 +1591,7 @@ TEST(Reliable, RunDrainsAtLastRetransmitCheck) {
     TwoPings whole(backend, 100'000'000);
     const sim::Tick end = whole.rt.run();
     EXPECT_FALSE(whole.rt.timed_out());
-    EXPECT_EQ(end, whole.second_sent + config::ReliableConfig{}.backoff_base);
+    EXPECT_EQ(end, whole.second_sent + config::ReliableConfig{}.backoff.base);
     EXPECT_EQ(whole.rt.stats().retransmits, 0u);
     EXPECT_EQ(whole.rt.message_heap().in_use(), 0u);
 

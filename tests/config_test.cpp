@@ -435,18 +435,18 @@ TEST(Persistence, SupervisionRoundTripsAndDefaultStaysImplicit) {
   }
   cfg.supervision.enabled = true;
   cfg.supervision.max_restarts = 5;
-  cfg.supervision.backoff_base = 123'456;
-  cfg.supervision.backoff_factor = 1.5;
-  cfg.supervision.backoff_cap = 9'000'000;
+  cfg.supervision.backoff.base = 123'456;
+  cfg.supervision.backoff.factor = 1.5;
+  cfg.supervision.backoff.cap = 9'000'000;
   cfg.supervision.migrate = false;
   std::stringstream ss;
   cfg.save(ss);
   Configuration back = Configuration::load(ss);
   EXPECT_TRUE(back.supervision.enabled);
   EXPECT_EQ(back.supervision.max_restarts, 5);
-  EXPECT_EQ(back.supervision.backoff_base, 123'456);
-  EXPECT_EQ(back.supervision.backoff_factor, 1.5);
-  EXPECT_EQ(back.supervision.backoff_cap, 9'000'000);
+  EXPECT_EQ(back.supervision.backoff.base, 123'456);
+  EXPECT_EQ(back.supervision.backoff.factor, 1.5);
+  EXPECT_EQ(back.supervision.backoff.cap, 9'000'000);
   EXPECT_FALSE(back.supervision.migrate);
 }
 
@@ -506,12 +506,12 @@ TEST(Validation, RejectsMalformedSupervision) {
   expect_rejected("negative restart budget",
                   [](Configuration& c) { c.supervision.max_restarts = -1; });
   expect_rejected("zero backoff base",
-                  [](Configuration& c) { c.supervision.backoff_base = 0; });
+                  [](Configuration& c) { c.supervision.backoff.base = 0; });
   expect_rejected("shrinking backoff factor",
-                  [](Configuration& c) { c.supervision.backoff_factor = 0.5; });
+                  [](Configuration& c) { c.supervision.backoff.factor = 0.5; });
   expect_rejected("cap below base", [](Configuration& c) {
-    c.supervision.backoff_base = 1000;
-    c.supervision.backoff_cap = 500;
+    c.supervision.backoff.base = 1000;
+    c.supervision.backoff.cap = 500;
   });
 }
 
@@ -541,9 +541,9 @@ TEST(Menu, FaultRecoveryAndSuperviseCommands) {
   const auto& s = menu.current().supervision;
   EXPECT_TRUE(s.enabled);
   EXPECT_EQ(s.max_restarts, 7);
-  EXPECT_EQ(s.backoff_base, 100'000);
-  EXPECT_DOUBLE_EQ(s.backoff_factor, 3.0);
-  EXPECT_EQ(s.backoff_cap, 4'000'000);
+  EXPECT_EQ(s.backoff.base, 100'000);
+  EXPECT_DOUBLE_EQ(s.backoff.factor, 3.0);
+  EXPECT_EQ(s.backoff.cap, 4'000'000);
   EXPECT_FALSE(s.migrate);
   menu.apply("supervise off", out);
   EXPECT_FALSE(menu.current().supervision.enabled);
@@ -605,9 +605,9 @@ TEST(Persistence, ReliableRoundTripsAndDefaultStaysImplicit) {
   }
   cfg.reliable.enabled = true;
   cfg.reliable.max_retries = 4;
-  cfg.reliable.backoff_base = 75'000;
-  cfg.reliable.backoff_factor = 1.5;
-  cfg.reliable.backoff_cap = 1'200'000;
+  cfg.reliable.backoff.base = 75'000;
+  cfg.reliable.backoff.factor = 1.5;
+  cfg.reliable.backoff.cap = 1'200'000;
   cfg.reliable.ack_flush_ticks = 35'000;
   cfg.reliable.send_deadline = 9'000'000;
   std::stringstream ss;
@@ -615,10 +615,10 @@ TEST(Persistence, ReliableRoundTripsAndDefaultStaysImplicit) {
   Configuration back = Configuration::load(ss);
   EXPECT_TRUE(back.reliable.enabled);
   EXPECT_EQ(back.reliable.max_retries, 4);
-  EXPECT_EQ(back.reliable.backoff_base, 75'000);
+  EXPECT_EQ(back.reliable.backoff.base, 75'000);
   // Bit-exact factor: a reloaded config replays identical backoff timing.
-  EXPECT_EQ(back.reliable.backoff_factor, 1.5);
-  EXPECT_EQ(back.reliable.backoff_cap, 1'200'000);
+  EXPECT_EQ(back.reliable.backoff.factor, 1.5);
+  EXPECT_EQ(back.reliable.backoff.cap, 1'200'000);
   EXPECT_EQ(back.reliable.ack_flush_ticks, 35'000);
   EXPECT_EQ(back.reliable.send_deadline, 9'000'000);
   std::stringstream again;
@@ -637,12 +637,12 @@ TEST(Validation, RejectsMalformedReliable) {
   expect_rejected("negative retry budget",
                   [](Configuration& c) { c.reliable.max_retries = -1; });
   expect_rejected("zero backoff base",
-                  [](Configuration& c) { c.reliable.backoff_base = 0; });
+                  [](Configuration& c) { c.reliable.backoff.base = 0; });
   expect_rejected("shrinking backoff factor",
-                  [](Configuration& c) { c.reliable.backoff_factor = 0.9; });
+                  [](Configuration& c) { c.reliable.backoff.factor = 0.9; });
   expect_rejected("cap below base", [](Configuration& c) {
-    c.reliable.backoff_base = 1000;
-    c.reliable.backoff_cap = 500;
+    c.reliable.backoff.base = 1000;
+    c.reliable.backoff.cap = 500;
   });
   expect_rejected("zero ack flush window",
                   [](Configuration& c) { c.reliable.ack_flush_ticks = 0; });
@@ -661,14 +661,14 @@ TEST(Menu, ReliableCommandSetsAndValidates) {
   const auto& r = menu.current().reliable;
   EXPECT_TRUE(r.enabled);
   EXPECT_EQ(r.max_retries, 4);
-  EXPECT_EQ(r.backoff_base, 75'000);
-  EXPECT_DOUBLE_EQ(r.backoff_factor, 1.5);
-  EXPECT_EQ(r.backoff_cap, 1'200'000);
+  EXPECT_EQ(r.backoff.base, 75'000);
+  EXPECT_DOUBLE_EQ(r.backoff.factor, 1.5);
+  EXPECT_EQ(r.backoff.cap, 1'200'000);
   EXPECT_EQ(r.ack_flush_ticks, 35'000);
   EXPECT_EQ(r.send_deadline, 9'000'000);
   // Invalid values are rejected wholesale, leaving the committed knobs.
   menu.apply("reliable backoff 0 1.5 1000", out);
-  EXPECT_EQ(menu.current().reliable.backoff_base, 75'000);
+  EXPECT_EQ(menu.current().reliable.backoff.base, 75'000);
   EXPECT_NE(out.str().find("error: reliable backoff"), std::string::npos);
   menu.apply("reliable retries -2", out);
   EXPECT_EQ(menu.current().reliable.max_retries, 4);
@@ -857,16 +857,16 @@ Configuration random_config(std::uint64_t seed) {
   auto& s = cfg.supervision;
   s.enabled = coin();
   s.max_restarts = pick_int(0, 10);
-  s.backoff_base = pick(1, 1'000'000);
-  s.backoff_factor = 1 + 3 * unit();
-  s.backoff_cap = s.backoff_base + pick(0, 10'000'000);
+  s.backoff.base = pick(1, 1'000'000);
+  s.backoff.factor = 1 + 3 * unit();
+  s.backoff.cap = s.backoff.base + pick(0, 10'000'000);
   s.migrate = coin();
   auto& rel = cfg.reliable;
   rel.enabled = coin();
   rel.max_retries = pick_int(0, 10);
-  rel.backoff_base = pick(1, 1'000'000);
-  rel.backoff_factor = 1 + 3 * unit();
-  rel.backoff_cap = rel.backoff_base + pick(0, 10'000'000);
+  rel.backoff.base = pick(1, 1'000'000);
+  rel.backoff.factor = 1 + 3 * unit();
+  rel.backoff.cap = rel.backoff.base + pick(0, 10'000'000);
   rel.ack_flush_ticks = pick(1, 100'000);
   rel.send_deadline = pick(0, 10'000'000);
   return cfg;

@@ -1,4 +1,4 @@
-// Tests for the pluggable interconnect layer: shared-bus math identity,
+// Tests for the interconnect layer: shared-bus math identity,
 // hierarchical/NUMA routing, the partition-window index, the raised machine
 // limits, and the scaling properties the topology exists for — a spread
 // workload on per-cluster buses beating the single shared bus, with
@@ -156,6 +156,56 @@ TEST(Interconnect, StallAndFaultRouteToTheLink) {
   ic->note_faulted(3, 40);
   EXPECT_EQ(ic->bus_at(0).faulted_transfers(), 2u);  // stall also counts one
   EXPECT_EQ(ic->bus_at(4).faulted_transfers(), 2u);
+}
+
+// `shared` is the one-cluster case of the bus hierarchy: a hier machine
+// whose single hardware cluster holds every PE bills a seeded mix of
+// accesses, transfers, stalls and faults exactly as the shared bus does,
+// and its backbone never carries anything.
+TEST(Interconnect, OneHardwareClusterBillsLikeShared) {
+  CostModel costs;
+  auto shared = make_interconnect(TopologySpec{}, 16, costs);
+  auto one = make_interconnect(hier_spec(16), 16, costs);
+  ASSERT_EQ(one->cluster_count(), 1);
+  ASSERT_EQ(one->bus_count(), 2u);  // the cluster bus + an idle backbone
+  sim::Rng rng(2027);
+  sim::Tick now = 0;
+  for (int step = 0; step < 2000; ++step) {
+    now += static_cast<sim::Tick>(rng.below(40));
+    const int from = static_cast<int>(rng.below(17));  // 0 = environment
+    const int to = static_cast<int>(rng.below(17));
+    const auto words = static_cast<sim::Tick>(rng.below(64));
+    switch (rng.below(4)) {
+      case 0:
+        ASSERT_EQ(shared->access(now, from, words), one->access(now, from, words));
+        break;
+      case 1:
+        ASSERT_EQ(shared->transfer(now, from, to, words),
+                  one->transfer(now, from, to, words));
+        break;
+      case 2:
+        shared->stall(now, from, to, words);
+        one->stall(now, from, to, words);
+        break;
+      default:
+        shared->note_faulted(from, to);
+        one->note_faulted(from, to);
+        break;
+    }
+    ASSERT_FALSE(one->crosses_backbone(from, to));
+  }
+  EXPECT_EQ(shared->bus_at(0).busy_until(), one->bus_at(0).busy_until());
+  EXPECT_EQ(shared->bus_at(0).busy_ticks(), one->bus_at(0).busy_ticks());
+  EXPECT_EQ(shared->bus_at(0).wait_ticks(), one->bus_at(0).wait_ticks());
+  EXPECT_EQ(shared->bus_at(0).transfers(), one->bus_at(0).transfers());
+  EXPECT_EQ(shared->bus_at(0).faulted_transfers(),
+            one->bus_at(0).faulted_transfers());
+  EXPECT_GT(one->bus_at(0).wait_ticks(), 0);  // the mix really contended
+  const Bus& backbone = one->bus_at(1);
+  EXPECT_EQ(backbone.busy_ticks(), 0);
+  EXPECT_EQ(backbone.wait_ticks(), 0);
+  EXPECT_EQ(backbone.transfers(), 0u);
+  EXPECT_EQ(backbone.faulted_transfers(), 0u);
 }
 
 TEST(Machine, AcceptsUpToMaxPesAndRejectsBeyond) {

@@ -28,7 +28,7 @@ struct Harness {
 TEST(Supervisor, RestartsKilledTaskOnSurvivorAfterBackoff) {
   config::Configuration cfg = config::Configuration::simple(2);
   cfg.supervision.enabled = true;
-  cfg.supervision.backoff_base = 500'000;
+  cfg.supervision.backoff.base = 500'000;
   cfg.faults.pe_halts.push_back({4, 2'000'000});  // cluster 2's primary
   cfg.time_limit = 60'000'000;
   Harness h(std::move(cfg));
@@ -68,8 +68,8 @@ TEST(Supervisor, BackoffGrowsExponentiallyAcrossHaltRecoverCycles) {
   config::Configuration cfg = config::Configuration::simple(1);
   cfg.supervision.enabled = true;
   cfg.supervision.max_restarts = 3;
-  cfg.supervision.backoff_base = 500'000;
-  cfg.supervision.backoff_factor = 2.0;
+  cfg.supervision.backoff.base = 500'000;
+  cfg.supervision.backoff.factor = 2.0;
   cfg.faults.pe_halts.push_back({3, 2'000'000});
   cfg.faults.pe_recoveries.push_back({3, 2'400'000});
   cfg.faults.pe_halts.push_back({3, 4'000'000});
@@ -113,7 +113,7 @@ TEST(Supervisor, ExhaustedBudgetEscalatesSupfailToParent) {
   cfg.clusters[1].slots = 12;  // keeps Any-placement picking cluster 2
   cfg.supervision.enabled = true;
   cfg.supervision.max_restarts = 2;
-  cfg.supervision.backoff_base = 300'000;
+  cfg.supervision.backoff.base = 300'000;
   cfg.faults.pe_halts.push_back({4, 2'000'000});
   cfg.faults.pe_recoveries.push_back({4, 2'200'000});
   cfg.faults.pe_halts.push_back({4, 5'000'000});
@@ -125,7 +125,9 @@ TEST(Supervisor, ExhaustedBudgetEscalatesSupfailToParent) {
   // Supervise only the worker: the master must stay out of restart logic.
   h.sup = std::make_unique<Supervisor>(
       *h.rt, config::SupervisionConfig{.enabled = false, .migrate = false});
-  h.sup->supervise("worker", {.max_restarts = 2, .backoff_base = 300'000});
+  h.sup->supervise("worker", {.max_restarts = 2,
+                               .backoff = {.base = 300'000, .factor = 2.0,
+                                           .cap = 16'000'000}});
   int supfails = 0;
   int childterms = 0;
   std::string supfail_tasktype;
@@ -210,7 +212,7 @@ TEST(Supervisor, NoSurvivingClusterDropsTheLineageWithConsoleNotice) {
   // the cluster, so the escalation lands on the console instead.
   config::Configuration cfg = config::Configuration::simple(1);
   cfg.supervision.enabled = true;
-  cfg.supervision.backoff_base = 200'000;
+  cfg.supervision.backoff.base = 200'000;
   cfg.faults.pe_halts.push_back({3, 2'000'000});
   cfg.time_limit = 60'000'000;
   Harness h(std::move(cfg));
@@ -285,7 +287,7 @@ TEST(Supervisor, JobQueueAttachesSupervisorWhenConfigured) {
   job.user = "ops";
   job.configuration = config::Configuration::simple(2);
   job.configuration.supervision.enabled = true;
-  job.configuration.supervision.backoff_base = 400'000;
+  job.configuration.supervision.backoff.base = 400'000;
   job.configuration.faults.pe_halts.push_back({4, 2'000'000});
   job.configuration.time_limit = 60'000'000;
   job.setup = [](rt::Runtime& rt) {

@@ -693,12 +693,14 @@ struct RandomRun {
 
 RandomRun run_random_program(Backend backend, std::uint64_t seed, bool ticker) {
   Engine eng(backend);
-  Rng shape(seed);
+  // Odd seeds throughout: Rng ors 1 into its seed, so 2k and 2k+1 would
+  // share a stream.
+  Rng shape(2 * seed + 1);
   const int n = 3 + static_cast<int>(shape.below(4));
   RandomRun out;
   std::vector<Process*> procs;
   for (int i = 0; i < n; ++i) {
-    const std::uint64_t stream = seed * 131 + static_cast<std::uint64_t>(i);
+    const std::uint64_t stream = 2 * (seed * 131 + static_cast<std::uint64_t>(i)) + 1;
     procs.push_back(&eng.spawn("r" + std::to_string(i), [&, i, stream](Process& self) {
       Rng rng(stream);
       const Tick steps = rng.range(10, 40);

@@ -284,6 +284,35 @@ TEST(Analyzer, TaskLifetimesAndMessageLatencies) {
   EXPECT_NE(an.report().find("matched messages: 2"), std::string::npos);
 }
 
+TEST(Analyzer, MatchesAMessageSentAtTickZero) {
+  // A user's INITIATE is sent at tick 0; a zero tick is not a missing half.
+  std::vector<Record> records = {
+      make(EventKind::msg_send, 0, rt::TaskId{1, 1, 2}, 1, rt::TaskId{1, 0, 1}),
+      make(EventKind::msg_accept, 975, rt::TaskId{1, 0, 1}, 1),
+      make(EventKind::msg_accept, 0, rt::TaskId{1, 0, 1}, 2),  // never sent
+  };
+  Analyzer an(records);
+  const auto msgs = an.message_timings();
+  ASSERT_EQ(msgs.size(), 1u);
+  EXPECT_EQ(msgs[0].seq, 1u);
+  EXPECT_EQ(msgs[0].sent, 0);
+  EXPECT_EQ(msgs[0].latency(), 975);
+  EXPECT_DOUBLE_EQ(an.mean_message_latency(), 975.0);
+}
+
+TEST(Analyzer, ReportCountsEveryKind) {
+  std::vector<Record> records;
+  for (int k = 0; k < kEventKindCount; ++k) {
+    records.push_back(make(static_cast<EventKind>(k), k, rt::TaskId{1, 3, 1}));
+  }
+  const std::string report = Analyzer(records).report();
+  for (int k = 0; k < kEventKindCount; ++k) {
+    const std::string line =
+        "  " + std::string(kind_name(static_cast<EventKind>(k))) + ": 1\n";
+    EXPECT_NE(report.find(line), std::string::npos) << line;
+  }
+}
+
 TEST(Analyzer, BarrierEntriesPerTask) {
   std::vector<Record> records;
   for (int i = 0; i < 4; ++i) {
