@@ -85,13 +85,17 @@ void TaskContext::on_message(std::string type, Handler handler) {
   handlers_[std::move(type)] = std::move(handler);
 }
 
-void TaskContext::consume(Message msg, AcceptResult& res) {
+void TaskContext::take_accepted(const Message& msg) {
   rt_->transport_.release_accepted(*proc_, msg);
   sender_ = msg.sender;
   ++rt_->stats_.messages_accepted;
-  ++res.accepted[msg.type];
   rt_->trace_event(trace::EventKind::msg_accept, self(), msg.sender, proc_->pe(),
                    msg.seq, msg.type);
+}
+
+void TaskContext::consume(Message msg, AcceptResult& res) {
+  take_accepted(msg);
+  ++res.accepted[msg.type];
   auto it = handlers_.find(msg.type);
   if (it != handlers_.end()) it->second(*this, msg);
 }
@@ -188,11 +192,7 @@ AcceptResult TaskContext::accept(AcceptSpec spec) {
 Message TaskContext::wait_any_message() {
   while (rec_->in_queue.empty()) proc_->block();
   Message m = rec_->in_queue.pop_front();
-  rt_->transport_.release_accepted(*proc_, m);
-  sender_ = m.sender;
-  ++rt_->stats_.messages_accepted;
-  rt_->trace_event(trace::EventKind::msg_accept, self(), m.sender, proc_->pe(),
-                   m.seq, m.type);
+  take_accepted(m);
   return m;
 }
 

@@ -122,6 +122,9 @@ class TaskContext {
   Message wait_any_message();
 
  private:
+  /// Take an accepted message out of storage, make its sender SENDER,
+  /// count it and trace MSG-ACCEPT.
+  void take_accepted(const Message& msg);
   /// Process one matched message (handler or signal); updates result.
   void consume(Message msg, AcceptResult& res);
   [[nodiscard]] TaskId resolve(const Dest& dest) const;

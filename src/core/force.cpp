@@ -177,18 +177,11 @@ double ForceContext::collective_sync(
     if (contribute != nullptr) st_->reduce_result = st_->partial[0];
     if (body) body(*this);
     if (n > 1) {
-      int depth = 0;
-      for (std::uint64_t covered = 1, width = static_cast<std::uint64_t>(k);
-           covered < static_cast<std::uint64_t>(n);
-           width *= static_cast<std::uint64_t>(k)) {
-        covered += width;
-        ++depth;
-      }
       rt_->trace_event(
           trace::EventKind::collective, rec_->id, {}, proc_->pe(), 0,
           std::string(contribute != nullptr ? "reduce" : "barrier") +
               " members=" + std::to_string(n) + " k=" + std::to_string(k) +
-              " depth=" + std::to_string(depth));
+              " depth=" + std::to_string(tree_depth(n - 1, k)));
     }
     // Reset arrival counters BEFORE publishing the new generation: a member
     // released below may re-enter the next collective immediately, and its

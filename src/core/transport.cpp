@@ -472,6 +472,15 @@ void Transport::flush_acks(ChannelKey key) {
 
 // ---- TO ALL relay tree ----
 
+int tree_depth(std::uint64_t targets, std::uint64_t k) {
+  int depth = 0;
+  for (std::uint64_t covered = 0, width = k; covered < targets; width *= k) {
+    covered += width;
+    ++depth;
+  }
+  return depth;
+}
+
 int Transport::broadcast(TaskId origin, mmos::Proc& proc, std::string type,
                          std::vector<Value> args, std::vector<TaskId> targets) {
   // Distribute over a k-ary tree: the sender posts only to positions
@@ -480,12 +489,7 @@ int Transport::broadcast(TaskId origin, mmos::Proc& proc, std::string type,
   // completion takes O(log_k n) relay hops instead of n serialized sends.
   const auto n = static_cast<int>(targets.size());
   const int k = rt_->cfg_.collective_fanout < 2 ? 2 : rt_->cfg_.collective_fanout;
-  int depth = 0;
-  for (std::uint64_t covered = 0, width = static_cast<std::uint64_t>(k);
-       covered < static_cast<std::uint64_t>(n); width *= static_cast<std::uint64_t>(k)) {
-    covered += width;
-    ++depth;
-  }
+  const int depth = tree_depth(targets.size(), static_cast<std::uint64_t>(k));
   proc.compute(rt_->costs().msg_send_overhead);
   rt_->trace_event(trace::EventKind::collective, origin, {}, proc.pe(), 0,
                    "bcast targets=" + std::to_string(n) + " k=" +

@@ -22,6 +22,12 @@ namespace pisces::rt {
 
 class Runtime;
 
+/// Levels below the root of a k-ary relay tree that reaches `targets`
+/// nodes, each level filled before the next: the least d with
+/// k + k^2 + ... + k^d >= targets (0 for none). A force's collective tree
+/// over n members is rooted at one of them: tree_depth(n - 1, k).
+[[nodiscard]] int tree_depth(std::uint64_t targets, std::uint64_t k);
+
 /// The message transport: everything between "a task sends" and "a message
 /// sits in an in-queue" — storage in the shared message heap (senders wait
 /// FIFO while it is full), bus billing, injected bus faults, the reliable

@@ -1,6 +1,5 @@
 #include "core/value.hpp"
 
-#include <cstring>
 #include <stdexcept>
 
 namespace pisces::rt {
@@ -28,15 +27,6 @@ void put_raw(std::vector<std::byte>& out, const T& x) {
   out.insert(out.end(), p, p + sizeof(T));
 }
 
-template <typename T>
-T get_raw(const std::vector<std::byte>& in, std::size_t& pos) {
-  if (pos + sizeof(T) > in.size()) throw std::runtime_error("Value: truncated input");
-  T x;
-  std::memcpy(&x, in.data() + pos, sizeof(T));
-  pos += sizeof(T);
-  return x;
-}
-
 void put_u32(std::vector<std::byte>& out, std::size_t n) {
   put_raw(out, static_cast<std::uint32_t>(n));
 }
@@ -47,35 +37,12 @@ void put_taskid(std::vector<std::byte>& out, const TaskId& id) {
   put_raw(out, id.unique);
 }
 
-TaskId get_taskid(const std::vector<std::byte>& in, std::size_t& pos) {
-  TaskId id;
-  id.cluster = get_raw<std::int32_t>(in, pos);
-  id.slot = get_raw<std::int32_t>(in, pos);
-  id.unique = get_raw<std::uint64_t>(in, pos);
-  return id;
-}
-
 constexpr std::size_t kTaskIdBytes = 4 + 4 + 8;
 constexpr std::size_t kWindowBytes = kTaskIdBytes + 4 + 4 * 4 + 2 * 4;
-/// The smallest packed value, a LOGICAL: tag byte + one payload byte.
-constexpr std::size_t kMinValueBytes = 2;
 
 using RealArray = std::shared_ptr<const std::vector<double>>;
 using IntArray = std::shared_ptr<const std::vector<std::int64_t>>;
 using List = std::shared_ptr<const ValueList>;
-
-/// Read a length prefix and check that `n` elements of at least
-/// `min_bytes` each fit in what is left of `in`, before anything is sized
-/// from it.
-std::uint32_t get_count(const std::vector<std::byte>& in, std::size_t& pos,
-                        std::size_t min_bytes, const char* what) {
-  const auto n = get_raw<std::uint32_t>(in, pos);
-  if (n > (in.size() - pos) / min_bytes) {
-    throw std::runtime_error(std::string("Value: ") + what +
-                             " length exceeds the packet");
-  }
-  return n;
-}
 
 }  // namespace
 
@@ -194,59 +161,6 @@ void Value::encode(std::vector<std::byte>& out) const {
       v_);
 }
 
-Value Value::decode(const std::vector<std::byte>& in, std::size_t& pos) {
-  const auto tag = static_cast<Tag>(get_raw<std::uint8_t>(in, pos));
-  switch (tag) {
-    case Tag::int64:
-      return Value(get_raw<std::int64_t>(in, pos));
-    case Tag::real:
-      return Value(get_raw<double>(in, pos));
-    case Tag::boolean:
-      return Value(get_raw<std::uint8_t>(in, pos) != 0);
-    case Tag::string: {
-      const auto n = get_raw<std::uint32_t>(in, pos);
-      if (pos + n > in.size()) throw std::runtime_error("Value: truncated string");
-      std::string s(reinterpret_cast<const char*>(in.data() + pos), n);
-      pos += n;
-      return Value(std::move(s));
-    }
-    case Tag::taskid:
-      return Value(get_taskid(in, pos));
-    case Tag::window: {
-      Window w;
-      w.owner = get_taskid(in, pos);
-      w.array = get_raw<std::uint32_t>(in, pos);
-      w.rect.row0 = get_raw<std::int32_t>(in, pos);
-      w.rect.col0 = get_raw<std::int32_t>(in, pos);
-      w.rect.rows = get_raw<std::int32_t>(in, pos);
-      w.rect.cols = get_raw<std::int32_t>(in, pos);
-      w.array_rows = get_raw<std::int32_t>(in, pos);
-      w.array_cols = get_raw<std::int32_t>(in, pos);
-      return Value(w);
-    }
-    case Tag::real_array: {
-      const auto n = get_count(in, pos, sizeof(double), "REAL array");
-      std::vector<double> xs(n);
-      for (auto& x : xs) x = get_raw<double>(in, pos);
-      return Value(std::move(xs));
-    }
-    case Tag::int_array: {
-      const auto n = get_count(in, pos, sizeof(std::int64_t), "INTEGER array");
-      std::vector<std::int64_t> xs(n);
-      for (auto& x : xs) x = get_raw<std::int64_t>(in, pos);
-      return Value(std::move(xs));
-    }
-    case Tag::list: {
-      const auto n = get_count(in, pos, kMinValueBytes, "argument list");
-      ValueList items;
-      items.reserve(n);
-      for (std::uint32_t i = 0; i < n; ++i) items.push_back(decode(in, pos));
-      return Value::list(std::move(items));
-    }
-  }
-  throw std::runtime_error("Value: unknown tag in packet");
-}
-
 std::string Value::str() const {
   return std::visit(
       [](const auto& x) -> std::string {
@@ -292,17 +206,6 @@ std::vector<std::byte> encode_args(const std::vector<Value>& args) {
   out.insert(out.end(), p, p + 4);
   for (const Value& v : args) v.encode(out);
   return out;
-}
-
-std::vector<Value> decode_args(const std::vector<std::byte>& bytes) {
-  std::size_t pos = 0;
-  if (bytes.size() < 4) throw std::runtime_error("decode_args: truncated header");
-  const std::uint32_t n = get_count(bytes, pos, kMinValueBytes, "argument list");
-  std::vector<Value> args;
-  args.reserve(n);
-  for (std::uint32_t i = 0; i < n; ++i) args.push_back(Value::decode(bytes, pos));
-  if (pos != bytes.size()) throw std::runtime_error("decode_args: trailing bytes");
-  return args;
 }
 
 std::size_t encoded_args_size(const std::vector<Value>& args) {

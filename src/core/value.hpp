@@ -75,12 +75,9 @@ class Value {
   /// (tag byte + payload; arrays/strings add a 4-byte length prefix).
   [[nodiscard]] std::size_t encoded_size() const;
 
-  /// Append the packed representation to `out`.
+  /// Append the packed representation to `out`: the byte layout
+  /// encoded_size() counts.
   void encode(std::vector<std::byte>& out) const;
-  /// Parse one value from `in` starting at `pos`; advances `pos`.
-  /// Throws std::runtime_error on malformed input, including a length
-  /// prefix that claims more elements than the bytes left could hold.
-  static Value decode(const std::vector<std::byte>& in, std::size_t& pos);
 
   /// Human-readable rendering (traces, user-controller terminal output).
   [[nodiscard]] std::string str() const;
@@ -91,9 +88,10 @@ class Value {
   Storage v_;
 };
 
-/// Pack an argument list (used for whole messages).
+/// Pack an argument list (a whole message's arguments): a 4-byte count,
+/// then each value.
 std::vector<std::byte> encode_args(const std::vector<Value>& args);
-std::vector<Value> decode_args(const std::vector<std::byte>& bytes);
+/// Bytes encode_args(args) produces; what the run-time system bills.
 std::size_t encoded_args_size(const std::vector<Value>& args);
 
 }  // namespace pisces::rt

@@ -210,6 +210,16 @@ bool Proc::resume_compute(void* self) {
   return p.compute_step();
 }
 
+bool Proc::resume_blocked(void* self) {
+  Proc& p = *static_cast<Proc*>(self);
+  if (!p.sp_->timed_out()) return true;  // dispatched
+  if (p.cond_blocked_) {
+    p.timed_out_ = true;
+    p.wake();
+  }
+  return false;
+}
+
 void Proc::compute(sim::Tick ticks) {
   auto& eng = kernel_->engine();
   // Degraded-clock fault: the stretch factor is sampled once per compute
@@ -245,25 +255,14 @@ void Proc::charge_transfer(std::size_t bytes, int from_pe, int to_pe) {
 }
 
 bool Proc::block_with_timeout(sim::Tick deadline) {
-  ++block_epoch_;
-  const std::uint64_t epoch = block_epoch_;
   timed_out_ = false;
   cond_blocked_ = true;
   kernel_->leave_cpu(*this);
-  if (deadline != sim::kForever) {
-    // Queued until the deadline even if a wake comes first, so it keeps
-    // the record alive until then.
-    ++queued_;
-    kernel_->engine().schedule(deadline, [this, epoch] {
-      --queued_;
-      if (epoch == block_epoch_ && cond_blocked_) {
-        timed_out_ = true;
-        wake();
-      }
-      kernel_->collect(*this);
-    });
-  }
-  sp_->wait();  // until dispatched again
+  // The deadline is the sim::Process's own timed wait. Its resume runs
+  // resume_blocked, and is a no-op once the body is back in or the process
+  // has finished; only the dispatch switches the body in.
+  sp_->arm_wait(deadline);
+  sp_->park(deadline == sim::kForever ? nullptr : &Proc::resume_blocked, this);
   return timed_out_;
 }
 

@@ -38,10 +38,12 @@ class Kernel {
   Proc& create_process(std::string name, Proc::Body body);
 
   /// The creator of `p` will not touch it again. The Kernel destroys it
-  /// once it has finished, its own calls have returned and no queued event
-  /// names it: here if that already holds, else when the last of those
-  /// happens. Its sim::Process then goes to sim::Engine::release. Releasing
-  /// or destroying schedules nothing. Idempotent.
+  /// once it has finished, its own calls have returned and no queued
+  /// closure names it (only a halted PE's deferred kill does): here if that
+  /// already holds, else when the last of those happens. Its sim::Process
+  /// then goes to sim::Engine::release, which keeps that record while a
+  /// queued resume (a block's deadline) still names it. Releasing or
+  /// destroying schedules nothing. Idempotent.
   void release(Proc& p);
 
   /// Fault injection: halt this PE. Every unfinished process is killed (in
@@ -70,8 +72,8 @@ class Kernel {
   [[nodiscard]] std::size_t live_count() const { return live_; }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
   /// Processes created here and not yet destroyed, in creation order: the
-  /// live ones, finished ones nobody released, and released ones a queued
-  /// event still names.
+  /// live ones, finished ones nobody released, and released ones whose
+  /// deferred kill on a halted PE is still queued.
   [[nodiscard]] const std::vector<std::unique_ptr<Proc>>& procs() const {
     return procs_;
   }

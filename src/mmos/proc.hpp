@@ -23,6 +23,10 @@ class System;
 ///  * sim::Process waits: "waiting to be put on the CPU" (internal), and
 ///    the compute slices themselves;
 ///  * Proc::block*: "waiting for a condition" (used by the PISCES runtime).
+/// A block is one sim::Process wait, lasting until the process is
+/// dispatched again, and its deadline is that wait's own: if it fires
+/// first, the step the body parks on ends the condition wait (the process
+/// becomes ready), and the body is still switched in only by its dispatch.
 /// A compute() that has to wait parks its body on an engine-side step: the
 /// end of each slice, and each dispatch back into the unfinished compute,
 /// run the slice loop's bookkeeping in the engine loop, and the body is
@@ -96,6 +100,10 @@ class Proc {
   /// The engine-side step a computing body parks on: notes the slice just
   /// slept (none after a dispatch), then runs compute_step().
   static bool resume_compute(void* self);
+  /// The engine-side step a body blocked with a deadline parks on: a
+  /// dispatch switches the body in; the deadline wakes the process if it is
+  /// still blocked, and the body stays parked until it is dispatched.
+  static bool resume_blocked(void* self);
   /// Mark finished: leave the scheduler, queue the exit callbacks and drop
   /// the body with whatever it captured. The last thing it does may be to
   /// destroy this process (see Kernel::release).
@@ -108,7 +116,6 @@ class Proc {
   sim::Process* sp_ = nullptr;
 
   bool cond_blocked_ = false;
-  std::uint64_t block_epoch_ = 0;
   bool timed_out_ = false;
   bool finished_ = false;
   bool killed_ = false;
@@ -120,7 +127,7 @@ class Proc {
   // Lifetime (see Kernel::release).
   bool released_ = false;  ///< its creator will not touch it again
   int pins_ = 0;           ///< its own calls on the stack (body, finish)
-  int queued_ = 0;         ///< engine closures naming it (block deadlines)
+  int queued_ = 0;         ///< engine closures naming it (a halted PE's kill)
 };
 
 }  // namespace pisces::mmos

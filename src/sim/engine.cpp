@@ -102,7 +102,6 @@ bool Engine::pass_reservation(Tick limit) {
     reserved_.pop_back();
     if (at > now_) {
       now_ = at;
-      queue_.advance_to(at);
       return true;
     }
   }
@@ -125,7 +124,6 @@ bool Engine::run_ahead(Tick at) {
     return false;
   }
   now_ = at;
-  queue_.advance_to(at);
   return true;
 }
 

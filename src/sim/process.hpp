@@ -82,6 +82,9 @@ class Process {
   [[nodiscard]] State state() const { return state_; }
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] bool killed() const { return kill_requested_; }
+  /// Whether the resume that ended, or is now stepping, the last wait was
+  /// its deadline rather than a wake.
+  [[nodiscard]] bool timed_out() const { return timed_out_; }
 
   // ---- Calls below are valid only from inside this process's body. ----
 

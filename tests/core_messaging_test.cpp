@@ -932,5 +932,36 @@ TEST(Broadcast, TreeChurnKillsBecomeDeadLettersAndStatsMatchTrace) {
             static_cast<std::uint64_t>(delivered));
 }
 
+// The TO ALL trace record describes its relay tree: at fan-out 4, the root
+// posts to 4 of 9 targets and those relay to the other 5, one level down.
+TEST(Broadcast, TraceRecordNamesTheTreeDepth) {
+  config::Configuration cfg = config::Configuration::simple(2, 6);
+  cfg.collective_fanout = 4;
+  cfg.trace.set(trace::EventKind::collective, true);
+  Fixture f(cfg);
+  trace::MemorySink sink;
+  f->tracer().add_sink(&sink);
+  int delivered = -1;
+  f->register_tasktype("listener", [](TaskContext& ctx) {
+    ctx.accept(AcceptSpec{}.of("go").delay_for(3'000'000));
+  });
+  f->register_tasktype("main", [&](TaskContext& ctx) {
+    for (int i = 0; i < 4; ++i) ctx.initiate(Where::Same(), "listener");
+    for (int i = 0; i < 5; ++i) ctx.initiate(Where::Cluster(2), "listener");
+    ctx.compute(200'000);  // let all nine targets start
+    delivered = ctx.broadcast("go");
+  });
+  f->boot();
+  f->user_initiate(1, "main");
+  f->run();
+  ASSERT_FALSE(f->timed_out());
+  EXPECT_EQ(delivered, 9);
+  std::vector<std::string> infos;
+  for (const auto& r : sink.records()) {
+    if (r.kind == trace::EventKind::collective) infos.push_back(r.info);
+  }
+  EXPECT_EQ(infos, std::vector<std::string>{"bcast targets=9 k=4 depth=2"});
+}
+
 }  // namespace
 }  // namespace pisces::rt

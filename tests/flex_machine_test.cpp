@@ -230,6 +230,12 @@ TEST(Bus, StallAccruesWaitAndBusy) {
   bus.stall(40, 5);  // idle bus: no extra wait
   EXPECT_EQ(bus.wait_ticks(), 6);
   EXPECT_EQ(bus.busy_until(), 45);
+
+  // A later requester waits behind a stall for the rest of it.
+  Bus stalled;
+  stalled.stall(0, 20);
+  EXPECT_EQ(stalled.transfer(5, 3), 23);
+  EXPECT_EQ(stalled.wait_ticks(), 15);
 }
 
 TEST(Machine, SharedTransferChargesBusAndLatency) {

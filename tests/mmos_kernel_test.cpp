@@ -202,15 +202,16 @@ TEST(Kernel, KilledBodyDropsWhatItCaptured) {
 }
 
 // Released records go once they have finished and no queued event names
-// them; unreleased ones stay readable. The engine still counts every
-// finished process.
+// them; unreleased ones stay readable. A block's deadline names only the
+// sim::Process, so it holds the clock but not the record. The engine still
+// counts every finished process.
 TEST(Kernel, ReleasedRecordsGoOnceNothingNamesThem) {
   Fixture f;
   auto& k = f.sys.kernel(3);
   Proc& kept = k.create_process("kept", [](Proc& p) { p.compute(10); });
   Proc& done = k.create_process("done", [](Proc& p) { p.compute(10); });
   Proc& early = k.create_process("early", [](Proc& p) { p.block(); });
-  // Woken long before its deadline: the deadline's event stays queued.
+  // Woken long before its deadline: the deadline's resume stays queued.
   Proc& timed = k.create_process("timed", [](Proc& p) {
     (void)p.block_with_timeout(1'000'000);
   });
@@ -220,13 +221,14 @@ TEST(Kernel, ReleasedRecordsGoOnceNothingNamesThem) {
     k.release(timed);
   });
   f.eng.run_until(100'000);
-  EXPECT_EQ(k.procs().size(), 4u);
+  EXPECT_EQ(k.procs().size(), 3u);   // `timed` finished after its release
   k.release(done);
-  EXPECT_EQ(k.procs().size(), 3u);   // finished, nothing queued: gone now
+  EXPECT_EQ(k.procs().size(), 2u);   // finished, nothing queued: gone now
   EXPECT_EQ(k.live_count(), 1u);     // `early`, still blocked
   f.eng.run_until(999'999);
-  EXPECT_EQ(k.procs().size(), 3u);   // `timed` waits for its deadline event
-  f.eng.run();
+  EXPECT_EQ(k.procs().size(), 2u);
+  EXPECT_EQ(f.eng.pending_events(), 1u);  // `timed`'s stale deadline
+  EXPECT_EQ(f.eng.run(), 1'000'000);
   EXPECT_EQ(k.procs().size(), 2u);
   early.kill();
   f.eng.run();

@@ -1,6 +1,6 @@
-// Tests of message argument values: typing, Fortran-style widening, byte
-// serialization round trips, and size accounting (messages are charged real
-// bytes in the shared heap).
+// Tests of message argument values: typing, Fortran-style widening, and size
+// accounting against the packed byte layout (messages are charged real bytes
+// in the shared heap).
 #include "core/value.hpp"
 
 #include "core/message.hpp"
@@ -25,7 +25,9 @@ TEST(Value, TypedAccessorsAndWidening) {
   EXPECT_THROW((void)Value(id).as_window(), std::runtime_error);
 }
 
-TEST(Value, RoundTripsEveryKind) {
+// encoded_size() is what a message is billed; it must count exactly the
+// bytes encode() lays out, for every kind of value.
+TEST(Value, EncodedSizeMatchesEncodedBytes) {
   Window w;
   w.owner = TaskId{3, 5, 1234567890123ull};
   w.array = 42;
@@ -33,6 +35,9 @@ TEST(Value, RoundTripsEveryKind) {
   w.array_rows = 50;
   w.array_cols = 60;
   std::vector<Value> args = {
+      Value(1), Value(2.0), Value("abcdef"), Value(TaskId{1, 2, 3}),
+      Value(std::vector<double>(17, 0.0)),
+      Value::list({Value(1), Value(2)}),
       Value(std::int64_t{-5}),
       Value(3.25),
       Value(true),
@@ -44,57 +49,12 @@ TEST(Value, RoundTripsEveryKind) {
       Value(std::vector<std::int64_t>{10, -20, 30}),
       Value::list({Value(1), Value("nested"), Value::list({Value(2.0)})}),
   };
-  auto bytes = encode_args(args);
-  auto back = decode_args(bytes);
-  ASSERT_EQ(back.size(), args.size());
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    EXPECT_TRUE(back[i] == args[i]) << "arg " << i;
-  }
-}
-
-TEST(Value, EncodedSizeMatchesEncodedBytes) {
-  std::vector<Value> args = {
-      Value(1), Value(2.0), Value("abcdef"), Value(TaskId{1, 2, 3}),
-      Value(std::vector<double>(17, 0.0)),
-      Value::list({Value(1), Value(2)}),
-  };
   EXPECT_EQ(encode_args(args).size(), encoded_args_size(args));
   for (const auto& v : args) {
     std::vector<std::byte> one;
     v.encode(one);
     EXPECT_EQ(one.size(), v.encoded_size());
   }
-}
-
-TEST(Value, DecodeRejectsTruncatedAndTrailing) {
-  auto bytes = encode_args({Value(1), Value("xy")});
-  auto truncated = bytes;
-  truncated.resize(truncated.size() - 1);
-  EXPECT_THROW(decode_args(truncated), std::runtime_error);
-  auto trailing = bytes;
-  trailing.push_back(std::byte{0});
-  EXPECT_THROW(decode_args(trailing), std::runtime_error);
-}
-
-TEST(Value, DecodeRejectsLengthPrefixBeyondPacket) {
-  // Each prefix claims 2^32 - 1 elements with no bytes behind it; the
-  // decoder must refuse before sizing anything from it.
-  const auto claim = [](std::uint8_t tag) {
-    std::vector<std::byte> in{std::byte{tag}};
-    for (int i = 0; i < 4; ++i) in.push_back(std::byte{0xFF});
-    return in;
-  };
-  for (const std::uint8_t tag : {7, 8, 9}) {  // REAL array, INTEGER array, list
-    SCOPED_TRACE("tag=" + std::to_string(tag));
-    const std::vector<std::byte> in = claim(tag);
-    std::size_t pos = 0;
-    EXPECT_THROW((void)Value::decode(in, pos), std::runtime_error);
-  }
-  const std::vector<std::byte> count(4, std::byte{0xFF});  // argument count
-  EXPECT_THROW((void)decode_args(count), std::runtime_error);
-  // A prefix that does fit still decodes.
-  const std::vector<std::byte> ok = encode_args({Value(std::vector<double>(3, 1.0))});
-  EXPECT_EQ(decode_args(ok).at(0).as_real_array().size(), 3u);
 }
 
 TEST(Value, CopiedArraysShareStorageAndCompareByContents) {
@@ -140,9 +100,8 @@ TEST(Value, ListEqualityIsDeep) {
   EXPECT_FALSE(Value(1) == Value(1.0));
 }
 
-// Property: randomly generated argument lists of every kind round-trip
-// through the packet encoding byte-exactly, and encoded_args_size always
-// matches the produced byte count.
+// Property: for randomly generated argument lists of every kind,
+// encoded_args_size always matches the byte count encode_args produces.
 class ValueFuzzTest : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(ValueFuzzTest, RandomArgListsRoundTrip) {
@@ -198,13 +157,7 @@ TEST_P(ValueFuzzTest, RandomArgListsRoundTrip) {
     for (std::uint64_t i = 0; i < rng.below(8); ++i) {
       args.push_back(random_value(random_value, 2));
     }
-    auto bytes = encode_args(args);
-    EXPECT_EQ(bytes.size(), encoded_args_size(args));
-    auto back = decode_args(bytes);
-    ASSERT_EQ(back.size(), args.size());
-    for (std::size_t i = 0; i < args.size(); ++i) {
-      EXPECT_TRUE(back[i] == args[i]) << "round " << round << " arg " << i;
-    }
+    EXPECT_EQ(encode_args(args).size(), encoded_args_size(args)) << "round " << round;
   }
 }
 
