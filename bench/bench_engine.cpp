@@ -1,9 +1,9 @@
 // E10 (extension) — the simulation substrate itself. Every other bench and
 // every tier-1 test runs on sim::Engine, which multiplexes simulated
 // processes either as fibers or as host threads. This bench proves the two
-// backends produce tick-identical simulations (a switch-heavy loop and a
-// 20-PE many-task run) and measures interconnect scaling: a spread
-// ping-pong at 32-1024 PEs on the shared bus and on per-cluster buses.
+// backends produce tick-identical simulations (a 20-PE many-task run) and
+// measures interconnect scaling: a spread ping-pong at 32-1024 PEs on the
+// shared bus and on per-cluster buses.
 // Every number is a simulated tick or count, written to BENCH_engine.json
 // (override with --json=PATH). Host-time measurements live in perfbench/.
 
@@ -17,19 +17,6 @@ namespace {
 
 const char* backend_name(sim::Backend b) {
   return b == sim::Backend::fibers ? "fibers" : "threads";
-}
-
-/// `procs` processes each yield `iters` times via sleep_until(now+1); every
-/// slice is one switch into the body and one back. Returns the final tick.
-sim::Tick switch_loop(sim::Backend backend, int procs, int iters) {
-  sim::Engine eng(backend);
-  for (int i = 0; i < procs; ++i) {
-    sim::Process& p = eng.spawn("s", [iters, &eng](sim::Process& self) {
-      for (int k = 0; k < iters; ++k) self.sleep_until(eng.now() + 1);
-    });
-    eng.schedule(0, [&eng, &p] { eng.wake(p); });
-  }
-  return eng.run();
 }
 
 struct EndToEnd {
@@ -60,20 +47,6 @@ EndToEnd end_to_end_20pe(sim::Backend backend, int waves = 8,
     }
   });
   return {sim.engine.now(), sim.engine.events_fired()};
-}
-
-void switch_table(Report& report) {
-  banner("E10a: engine<->process switches on both backends (32 procs x 1000 "
-         "yields)");
-  Table t({"backend", "final tick"});
-  report.section("switch_throughput");
-  for (auto backend : {sim::Backend::fibers, sim::Backend::threads}) {
-    const sim::Tick final_tick = switch_loop(backend, 32, 1000);
-    t.row(backend_name(backend), final_tick);
-    report.row()
-        .field("backend", backend_name(backend))
-        .field("final_tick", final_tick);
-  }
 }
 
 void end_to_end_table(Report& report) {
@@ -239,7 +212,6 @@ int main(int argc, char** argv) {
                "(fiber vs thread scheduling, interconnect scaling)\n";
   Report report("pisces-bench-engine-v2",
                 "simulated ticks and engine events (deterministic)");
-  switch_table(report);
   end_to_end_table(report);
   interconnect_scaling_table(report);
   return report.write(path);

@@ -172,9 +172,7 @@ AcceptResult TaskContext::accept(AcceptSpec spec) {
   while (true) {
     scan();
     if (only_all || satisfied()) break;
-    rec_->waiting_in_accept = true;
     const bool timed_out = proc_->block_with_timeout(deadline);
-    rec_->waiting_in_accept = false;
     if (timed_out) {
       res.timed_out = true;
       ++rt_->stats_.accept_timeouts;

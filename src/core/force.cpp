@@ -150,7 +150,7 @@ double ForceContext::collective_sync(
     const std::function<void(ForceContext&)>& body, const double* contribute,
     ReduceOp op) {
   const auto n = static_cast<std::size_t>(st_->members);
-  const auto k = static_cast<std::size_t>(st_->fanout < 2 ? 2 : st_->fanout);
+  const auto k = static_cast<std::size_t>(st_->fanout);
   const auto p = static_cast<std::size_t>(member_ - 1);
   proc_->compute(proc_->kernel().costs().barrier_op);
   const std::uint64_t my_gen = st_->barrier_generation;

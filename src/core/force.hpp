@@ -116,7 +116,7 @@ struct ForceState {
   // k*p+1..k*p+k). Arrivals are gathered per node in a locally-polled
   // counter; only the root's generation publish crosses the global bus, so
   // a collective charges O(log_k members) serialized hops.
-  int fanout = 4;
+  int fanout = 4;  ///< Configuration::collective_fanout, >= 2
   std::uint64_t barrier_generation = 0;
   struct TreeNode {
     int arrived = 0;         ///< children of this node that have arrived

@@ -228,12 +228,11 @@ void Runtime::on_pe_halt(int pe) {
   console().write_line(sys_->engine().now(),
                        "PISCES FAULT: PE " + std::to_string(pe) + " HALTED");
   for (auto& cl : clusters_) {
-    // A cluster whose primary PE died loses its controllers: mark it dead
-    // so ANY/OTHER placement routes around it. Held initiates migrate to a
-    // surviving cluster when the supervision layer asked for it; otherwise
-    // (or when nobody survives) they dead-letter.
+    // A cluster whose primary PE died loses its controllers, and ANY/OTHER
+    // placement routes around it (the PE is marked halted above). Held
+    // initiates migrate to a surviving cluster when the supervision layer
+    // asked for it; otherwise (or when nobody survives) they dead-letter.
     if (cl->cfg.primary_pe == pe) {
-      cl->dead = true;
       const TaskId dead_ctl = cl->controller_id();
       for (auto& req : cl->pending) {
         const int target = migrate_work_ ? pick_survivor(cl->cfg.number) : -1;
@@ -275,10 +274,6 @@ void Runtime::on_pe_halt(int pe) {
   // each task's exit callback runs finish_task, which reclaims the slot,
   // releases queued-message heap storage, and notifies the parent.
   sys_->kernel(pe).halt();
-  if (!sys_->kernel(pe).live_count_consistent()) {
-    throw std::logic_error("PE " + std::to_string(pe) +
-                           " live counter drifted after halt sweep");
-  }
 }
 
 void Runtime::reclaim_controllers(Cluster& cl, int pe) {
@@ -328,16 +323,11 @@ void Runtime::on_pe_recover(int pe) {
   console().write_line(sys_->engine().now(),
                        "PISCES FAULT: PE " + std::to_string(pe) + " REJOINED");
   sys_->kernel(pe).restart();
-  if (!sys_->kernel(pe).live_count_consistent()) {
-    throw std::logic_error("PE " + std::to_string(pe) +
-                           " live counter drifted across halt/recover");
-  }
   // Clusters that lost their primary rejoin cold: fresh controllers with
   // new unique ids. Taskids minted before the halt keep dead-lettering —
   // the old incarnation's state is gone.
   for (auto& cl : clusters_) {
-    if (cl->cfg.primary_pe == pe && cl->dead) {
-      cl->dead = false;
+    if (cl->cfg.primary_pe == pe) {
       start_controllers(*cl);
       trace_event(trace::EventKind::supervision, cl->controller_id(), {}, pe,
                   0, "cluster-rejoin " + std::to_string(cl->cfg.number));
@@ -351,7 +341,9 @@ void Runtime::on_pe_recover(int pe) {
 int Runtime::pick_survivor(int dead_cluster) const {
   const int c = resolve_where(Where::Any(), dead_cluster);
   auto it = by_number_.find(c);
-  return (it != by_number_.end() && !it->second->dead) ? c : -1;
+  return (it != by_number_.end() && pe_usable(it->second->cfg.primary_pe))
+             ? c
+             : -1;
 }
 
 int Runtime::halted_pe_count(const Cluster& cl) const {
@@ -530,8 +522,8 @@ void Runtime::finish_task(Cluster& cl, int slot, TaskId id) {
   rec.locks.clear();
   rec.init_args.clear();
   if (abnormal) ++stats_.tasks_killed;
-  // This runs as the process's exit callback, so it has finished: the
-  // record goes now unless a queued event still names it.
+  // This runs as the process's exit callback, so its Proc has finished: the
+  // Engine frees it now, or at the kill's resume if its body never ran.
   if (rec.proc != nullptr) rec.proc->kernel().release(*rec.proc);
   rec.proc = nullptr;
   rec.state = TaskState::free_slot;
@@ -629,7 +621,8 @@ int Runtime::resolve_where(const Where& where, int my_cluster) const {
         if (where.kind == Where::Kind::other && cl->cfg.number == my_cluster) {
           continue;
         }
-        if (cl->dead) continue;  // primary PE halted: nobody to serve it
+        // Primary PE halted: the cluster is dead, nobody serves it.
+        if (!pe_usable(cl->cfg.primary_pe)) continue;
         const int f = cl->free_user_slots();
         const std::size_t backlog = cl->pending.size();
         const int halted = faults_ != nullptr ? halted_pe_count(*cl) : 0;

@@ -44,9 +44,6 @@ struct Cluster {
   config::ClusterConfig cfg;
   std::vector<std::unique_ptr<TaskRecord>> slots;
   std::deque<PendingInitiate> pending;
-  /// Set when the cluster's primary PE is halted by fault injection: its
-  /// controllers are gone, so ANY/OTHER placement must route elsewhere.
-  bool dead = false;
   /// Free user slots, kept in sync by start_task/finish_task so slot lookup
   /// and placement never rescan the slot table. Ordered so the lowest slot
   /// number is handed out first (deterministic, matches the old scan).

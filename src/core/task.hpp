@@ -52,7 +52,6 @@ struct TaskRecord {
 
   MessageQueue in_queue;          ///< user-visible messages, arrival order
   std::vector<Message> replies;   ///< internal system replies (window service)
-  bool waiting_in_accept = false;
 
   std::vector<Value> init_args;   ///< arguments from the INITIATE statement
 

@@ -488,7 +488,7 @@ int Transport::broadcast(TaskId origin, mmos::Proc& proc, std::string type,
   // events from the PE the copy reached, so the root pays O(k) sends and
   // completion takes O(log_k n) relay hops instead of n serialized sends.
   const auto n = static_cast<int>(targets.size());
-  const int k = rt_->cfg_.collective_fanout < 2 ? 2 : rt_->cfg_.collective_fanout;
+  const int k = rt_->cfg_.collective_fanout;  // >= 2, checked at boot
   const int depth = tree_depth(targets.size(), static_cast<std::uint64_t>(k));
   proc.compute(rt_->costs().msg_send_overhead);
   rt_->trace_event(trace::EventKind::collective, origin, {}, proc.pe(), 0,

@@ -296,13 +296,16 @@ void ExecutionEnvironment::display_organization(std::ostream& out) const {
   out << "PISCES 2 VIRTUAL MACHINE ORGANIZATION (configuration '"
       << rt_->configuration().name << "')\n";
   out << "+------------------------------------------------------------+\n";
+  const flex::FaultInjector* faults = rt_->fault_injector();
   for (const auto& cl : rt_->clusters()) {
     out << "| CLUSTER " << cl->cfg.number << "  (primary PE " << cl->cfg.primary_pe
         << ", " << cl->cfg.slots << " user slots";
     if (cl->cfg.place != config::PlacePolicy::primary) {
       out << ", place " << config::place_policy_name(cl->cfg.place);
     }
-    if (cl->dead) out << ", DEAD: primary PE halted";
+    if (faults != nullptr && faults->pe_halted(cl->cfg.primary_pe)) {
+      out << ", DEAD: primary PE halted";
+    }
     out << ")\n";
     for (std::size_t s = 0; s < cl->slots.size(); ++s) {
       const auto& rec = *cl->slots[s];

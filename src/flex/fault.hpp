@@ -164,7 +164,6 @@ class FaultInjector {
     if (halted_.erase(pe) != 0) ++stats_.pe_recoveries;
   }
   [[nodiscard]] bool pe_halted(int pe) const { return halted_.count(pe) != 0; }
-  [[nodiscard]] const std::set<int>& halted_pes() const { return halted_; }
 
   /// Clock-stretch factor for COMPUTE on `pe` at tick `now` (1.0 = healthy).
   /// Sampled once at the start of each compute burst; overlapping windows

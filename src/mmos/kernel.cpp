@@ -13,50 +13,23 @@ Kernel::Kernel(flex::Machine& machine, int pe) : machine_(&machine), pe_(pe) {
 }
 
 Proc& Kernel::create_process(std::string name, Proc::Body body) {
-  auto proc = std::unique_ptr<Proc>(
-      new Proc(*this, next_proc_id_++, std::move(name), std::move(body)));
-  Proc& p = *proc;
+  sim::Process::Owned owned(new Proc(*this, std::move(name), std::move(body)),
+                            [](void* q) { delete static_cast<Proc*>(q); });
+  Proc& p = *static_cast<Proc*>(owned.get());
   p.sp_ = &engine().spawn("pe" + std::to_string(pe_) + ":" + p.name(),
-                          [this, &p](sim::Process&) {
-                            ++p.pins_;
-                            p.body_wrapper();
-                            --p.pins_;
-                            collect(p);
-                          });
-  procs_.push_back(std::move(proc));
-  ++live_;
+                          [&p](sim::Process&) { p.body_wrapper(); },
+                          std::move(owned));
+  procs_.push_back(&p);
   if (halted_) {
     // Deferred so the caller can still attach on_exit callbacks before the
-    // kill's exit path runs them.
-    ++p.queued_;
-    engine().schedule(engine().now(), [this, &p] {
-      --p.queued_;
-      if (p.finished_) {
-        collect(p);
-      } else {
-        p.kill();
-      }
-    });
+    // kill's exit path runs them. The process is never made ready, not even
+    // by a restart(), so only a kill's resume can finish it, and that is
+    // queued after this closure: `p` is still alive when it runs.
+    engine().schedule(engine().now(), [&p] { p.kill(); });
     return p;
   }
   make_ready(p);
   return p;
-}
-
-void Kernel::release(Proc& p) {
-  p.released_ = true;
-  collect(p);
-}
-
-void Kernel::collect(Proc& p) {
-  if (!p.finished_ || !p.released_ || p.pins_ != 0 || p.queued_ != 0) return;
-  // Searched from the back: a record is usually released soon after it was
-  // created, and the table holds only what has not been destroyed.
-  const auto it = std::find_if(procs_.rbegin(), procs_.rend(),
-                               [&p](const auto& q) { return q.get() == &p; });
-  assert(it != procs_.rend());
-  engine().release(*p.sp_);
-  procs_.erase(std::next(it).base());
 }
 
 void Kernel::halt() {
@@ -65,12 +38,9 @@ void Kernel::halt() {
   // Kill in creation order so the unwind sequence is deterministic. Each
   // kill routes through remove()/leave_cpu(), and with halted_ set nothing
   // is ever dispatched again; bodies unwind at their next blocking point.
-  // A kill may finish a process on the spot and destroy released records,
-  // so walk the unfinished ones listed first: only finished records go.
-  std::vector<Proc*> doomed;
-  for (const auto& p : procs_) {
-    if (!p->finished_) doomed.push_back(p.get());
-  }
+  // A kill of a process whose body never ran takes it off procs_ at once,
+  // so walk a copy.
+  const std::vector<Proc*> doomed = procs_;
   for (Proc* p : doomed) p->kill();
 }
 
@@ -79,13 +49,6 @@ void Kernel::restart() {
   halted_ = false;
   slice_used_ = 0;
   maybe_dispatch();
-}
-
-bool Kernel::live_count_consistent() const {
-  const std::size_t actual = static_cast<std::size_t>(
-      std::count_if(procs_.begin(), procs_.end(),
-                    [](const std::unique_ptr<Proc>& p) { return !p->finished_; }));
-  return actual == live_;
 }
 
 void Kernel::make_ready(Proc& p) {
@@ -128,7 +91,11 @@ void Kernel::remove(Proc& p) {
   p.cond_blocked_ = false;
   auto it = std::find(ready_.begin(), ready_.end(), &p);
   if (it != ready_.end()) ready_.erase(it);
-  --live_;
+  // Searched from the back: a process usually finishes soon after it was
+  // created, and the controllers stay at the front.
+  const auto listed = std::find(procs_.rbegin(), procs_.rend(), &p);
+  assert(listed != procs_.rend());
+  procs_.erase(std::next(listed).base());
   leave_cpu(p);
 }
 
@@ -139,8 +106,8 @@ sim::Tick Kernel::slice_remaining() {
 
 // ---- Proc ----
 
-Proc::Proc(Kernel& kernel, std::uint64_t id, std::string name, Body body)
-    : kernel_(&kernel), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+Proc::Proc(Kernel& kernel, std::string name, Body body)
+    : kernel_(&kernel), name_(std::move(name)), body_(std::move(body)) {}
 
 int Proc::pe() const { return kernel_->pe(); }
 
@@ -165,11 +132,9 @@ void Proc::finish() {
   exit_callbacks_.clear();
   // Drop what the body captured, killed or not. That may end the last
   // reference to something that releases this very process (a force's
-  // state releases its members), so stay pinned while it goes.
-  ++pins_;
+  // state releases its members); its sim::Process has not finished, so the
+  // Engine keeps it until after this returns.
   body_ = nullptr;
-  --pins_;
-  kernel.collect(*this);
 }
 
 [[gnu::always_inline]] inline void Proc::note_slept() {
@@ -282,15 +247,13 @@ void Proc::wake() {
 void Proc::kill() {
   if (finished_) return;
   killed_ = true;
-  sim::Process& sp = *sp_;
-  sim::Engine& eng = kernel_->engine();
-  if (sp.state() == sim::Process::State::created) {
-    // Never dispatched: tidy the scheduler here, then let the host thread
-    // exit without running the body. finish() may destroy this process, so
-    // only locals are used after it.
+  if (!sp_->started()) {
+    // The body never ran, and now never will (still queued, or dispatched
+    // with its first resume pending): tidy the scheduler here, and let the
+    // engine finish the process without running the body.
     finish();
   }
-  eng.kill(sp);
+  kernel_->engine().kill(*sp_);
 }
 
 }  // namespace pisces::mmos

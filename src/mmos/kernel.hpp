@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -30,21 +29,18 @@ class Kernel {
   /// (with process-creation cost charged to it) when first dispatched. On a
   /// halted PE the process is created already doomed: a kill is scheduled
   /// for the current tick, after the caller has had a chance to register
-  /// exit callbacks. The returned reference stays valid until the caller
-  /// passes it to release(): the run-time system releases a task's process
-  /// when the task ends, a dead controller's, and a force's members when
-  /// the force is done. A process nobody releases stays in procs() for the
-  /// Kernel's lifetime.
+  /// exit callbacks. The Proc is the owned object of its sim::Process, so
+  /// the Engine alone destroys it. The returned reference stays valid until
+  /// the caller passes it to release(): the run-time system releases a
+  /// task's process when the task ends, a dead controller's, and a force's
+  /// members when the force is done. A process nobody releases lasts as
+  /// long as the Engine.
   Proc& create_process(std::string name, Proc::Body body);
 
-  /// The creator of `p` will not touch it again. The Kernel destroys it
-  /// once it has finished, its own calls have returned and no queued
-  /// closure names it (only a halted PE's deferred kill does): here if that
-  /// already holds, else when the last of those happens. Its sim::Process
-  /// then goes to sim::Engine::release, which keeps that record while a
-  /// queued resume (a block's deadline) still names it. Releasing or
-  /// destroying schedules nothing. Idempotent.
-  void release(Proc& p);
+  /// The creator of `p` will not touch it again: the Engine destroys it
+  /// once its sim::Process has finished, here if it already has (see
+  /// sim::Engine::release). Schedules nothing. Idempotent.
+  void release(Proc& p) { engine().release(*p.sp_); }
 
   /// Fault injection: halt this PE. Every unfinished process is killed (in
   /// creation order, for determinism) and the kernel never dispatches
@@ -53,30 +49,22 @@ class Kernel {
   [[nodiscard]] bool halted() const { return halted_; }
 
   /// Fail-recovery: bring a halted PE back cold. Old processes stay dead
-  /// (their records were reclaimed at halt time); the scheduler simply
-  /// starts dispatching again for processes created from now on. Idempotent
-  /// on a healthy PE.
+  /// (halt() killed them); the scheduler simply starts dispatching again
+  /// for processes created from now on. Idempotent on a healthy PE.
   void restart();
-
-  /// Invariant check for the O(1) live counter: true iff `live_count()`
-  /// matches a fresh scan of the process table. O(n) — meant for the
-  /// watchdog sweep and test assertions, not hot paths.
-  [[nodiscard]] bool live_count_consistent() const;
 
   // Scheduler introspection (the exec environment's "DISPLAY PE LOADING"
   // and the runtime's least-loaded task placement).
   [[nodiscard]] const Proc* current() const { return current_; }
   [[nodiscard]] std::size_t ready_count() const { return ready_.size(); }
-  /// Unfinished processes on this PE. O(1): maintained at process create
-  /// and finish, so per-task placement never rescans the process table.
-  [[nodiscard]] std::size_t live_count() const { return live_; }
+  /// Unfinished processes on this PE: the size of procs(), so per-task
+  /// placement never scans it.
+  [[nodiscard]] std::size_t live_count() const { return procs_.size(); }
   [[nodiscard]] std::uint64_t dispatches() const { return dispatches_; }
-  /// Processes created here and not yet destroyed, in creation order: the
-  /// live ones, finished ones nobody released, and released ones whose
-  /// deferred kill on a halted PE is still queued.
-  [[nodiscard]] const std::vector<std::unique_ptr<Proc>>& procs() const {
-    return procs_;
-  }
+  /// The unfinished processes on this PE, in creation order. A process
+  /// leaves the list in Proc::finish: when its body returns or unwinds, or
+  /// at once when it is killed before its body ever ran.
+  [[nodiscard]] const std::vector<Proc*>& procs() const { return procs_; }
   /// Ticks this PE spent executing process work (excludes context
   /// switches and idle time).
   [[nodiscard]] sim::Tick busy_ticks() const { return busy_ticks_; }
@@ -94,11 +82,8 @@ class Kernel {
   void maybe_dispatch();
   /// Called by the running process to give up the CPU (block or exit).
   void leave_cpu(Proc& p);
-  /// Remove a process from scheduler structures wherever it is (kill path).
+  /// Take a finishing process off the list and out of the scheduler.
   void remove(Proc& p);
-  /// Destroy `p` if it is released, finished, off its own stack and named
-  /// by no queued event.
-  void collect(Proc& p);
 
   /// Remaining ticks in the current quantum; refreshes the quantum when the
   /// ready queue is empty (nobody to preempt for).
@@ -118,13 +103,11 @@ class Kernel {
   /// the seed-1 perfbench runs), and unlike a deque it allocates neither at
   /// construction nor as it cycles.
   std::vector<Proc*> ready_;
-  std::size_t live_ = 0;
   Proc* current_ = nullptr;
   sim::Tick slice_used_ = 0;
   sim::Tick busy_ticks_ = 0;
   std::uint64_t dispatches_ = 0;
-  std::uint64_t next_proc_id_ = 1;
-  std::vector<std::unique_ptr<Proc>> procs_;
+  std::vector<Proc*> procs_;  ///< unfinished processes, in creation order
 };
 
 }  // namespace pisces::mmos

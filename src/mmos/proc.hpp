@@ -1,7 +1,6 @@
 #pragma once
 
 #include <cstddef>
-#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -35,7 +34,6 @@ class Proc {
  public:
   using Body = std::function<void(Proc&)>;
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] int pe() const;
   [[nodiscard]] Kernel& kernel() { return *kernel_; }
@@ -76,8 +74,8 @@ class Proc {
   void wake();
 
   /// Terminate the process. Its stack unwinds at the next blocking point;
-  /// exit callbacks still run. A released process never started finishes
-  /// here and may be destroyed before kill() returns.
+  /// exit callbacks still run. A process whose body never ran finishes
+  /// here.
   void kill();
 
   /// Register a callback to run (as an engine event) when the process
@@ -88,7 +86,7 @@ class Proc {
   friend class Kernel;
   friend class System;
 
-  Proc(Kernel& kernel, std::uint64_t id, std::string name, Body body);
+  Proc(Kernel& kernel, std::string name, Body body);
 
   void body_wrapper();
   /// compute()'s slice loop from where it stands: returns false once it has
@@ -104,13 +102,15 @@ class Proc {
   /// dispatch switches the body in; the deadline wakes the process if it is
   /// still blocked, and the body stays parked until it is dispatched.
   static bool resume_blocked(void* self);
-  /// Mark finished: leave the scheduler, queue the exit callbacks and drop
-  /// the body with whatever it captured. The last thing it does may be to
-  /// destroy this process (see Kernel::release).
+  /// Mark finished: leave the Kernel's list and the scheduler, queue the
+  /// exit callbacks and drop the body with whatever it captured. This runs
+  /// before the sim::Process finishes (from the body's wrapper, or from a
+  /// kill that lands before the body ever ran), and the Engine frees a
+  /// released Proc only once that has finished: so no list keeps a freed
+  /// Proc, and dropping the body may release this very process.
   void finish();
 
   Kernel* kernel_;
-  std::uint64_t id_;
   std::string name_;
   Body body_;
   sim::Process* sp_ = nullptr;
@@ -123,11 +123,6 @@ class Proc {
   sim::Tick owed_ = 0;   ///< ticks the running compute() still has to bill
   sim::Tick slept_ = 0;  ///< length of the slice armed, noted when it ends
   std::vector<std::function<void()>> exit_callbacks_;
-
-  // Lifetime (see Kernel::release).
-  bool released_ = false;  ///< its creator will not touch it again
-  int pins_ = 0;           ///< its own calls on the stack (body, finish)
-  int queued_ = 0;         ///< engine closures naming it (a halted PE's kill)
 };
 
 }  // namespace pisces::mmos

@@ -127,9 +127,10 @@ bool Engine::run_ahead(Tick at) {
   return true;
 }
 
-Process& Engine::spawn(std::string name, Process::Body body) {
+Process& Engine::spawn(std::string name, Process::Body body,
+                       Process::Owned owned) {
   processes_.push_back(std::unique_ptr<Process>(
-      new Process(*this, next_process_id_++, std::move(name), std::move(body))));
+      new Process(*this, std::move(name), std::move(body), std::move(owned))));
   ++live_count_;
   return *processes_.back();
 }
@@ -160,6 +161,8 @@ void Engine::on_process_finished() {
 
 void Engine::release(Process& p) {
   p.released_ = true;
+  // Finished before it was released.
+  if (p.state_ == Process::State::finished) p.owned_.reset();
   collect(p);
 }
 

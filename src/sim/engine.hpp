@@ -69,10 +69,12 @@ struct EventSlot {
 /// So the engine never holds more stacks than the most fibers ever live at
 /// once, and unmaps them when it is destroyed.
 ///
-/// Process records: a released process is destroyed once it has finished,
-/// been reaped and no queued resume names it, so memory follows the live
-/// set rather than every process ever spawned. Only processes nobody
-/// releases stay, as tombstones, for the Engine's lifetime.
+/// Process records: the Engine is the one owner of each process and of the
+/// object spawned with it. A released process's owned object goes once its
+/// body has finished, and the process itself once it has also been reaped
+/// and no queued resume names it, so memory follows the live set rather
+/// than every process ever spawned. Only processes nobody releases stay, as
+/// tombstones with their owned objects, for the Engine's lifetime.
 ///
 /// An Engine and all its processes run on the thread that constructed it.
 class Engine {
@@ -108,17 +110,22 @@ class Engine {
   void schedule_reserved(EventSlot slot, EventQueue::Action action);
 
   /// Create a process. The body does not start running until wake() is
-  /// called on it. The returned reference stays valid until the caller
-  /// passes it to release() (mmos::Kernel does when it destroys the
-  /// process's Proc); the process then goes once it has finished, been
-  /// reaped and no queued resume names it. A process nobody releases lasts
-  /// as long as the Engine (once finished, it is reaped to a tombstone).
-  Process& spawn(std::string name, Process::Body body);
+  /// called on it. `owned`, if set, is the caller's record of the process
+  /// (mmos::Kernel passes its Proc): the Engine destroys it once the process
+  /// has been released and its body has finished, whichever comes last,
+  /// and frees it too if spawn throws. The returned reference stays
+  /// valid until the caller passes it to release(); the process then goes
+  /// once it has finished, been reaped and no queued resume names it. A
+  /// process nobody releases, and its owned object, last as long as the
+  /// Engine (once finished, it is reaped to a tombstone).
+  Process& spawn(std::string name, Process::Body body,
+                 Process::Owned owned = {nullptr, nullptr});
 
-  /// The owner of `p` will not touch it again. The Engine destroys it once
-  /// it has finished, been reaped and no queued resume names it: here if
-  /// that already holds, else when the last of those happens. Destroying
-  /// schedules nothing. Idempotent.
+  /// The owner of `p` will not touch it again. The Engine destroys p's
+  /// owned object once the body has finished, and `p` once it has also been
+  /// reaped and no queued resume names it: each here if that already
+  /// holds, else when the last of those happens. Destroying schedules
+  /// nothing. Idempotent.
   void release(Process& p);
 
   /// Wake a blocked (or not-yet-started) process at the current tick.
@@ -231,7 +238,6 @@ class Engine {
   std::size_t live_count_ = 0;
   std::size_t unreaped_finished_ = 0;
   std::size_t reaped_ = 0;
-  std::uint64_t next_process_id_ = 1;
   std::uint64_t events_fired_ = 0;
   std::exception_ptr failure_;
   /// Ticks of the places reserved and never filled, as a min-heap; ticks

@@ -121,8 +121,11 @@ void Engine::retire_backend(std::unique_ptr<detail::ProcessBackend> backend) {
   if (stack.allocated()) spare_stacks_.push_back(std::move(stack));
 }
 
-Process::Process(Engine& engine, std::uint64_t id, std::string name, Body body)
-    : engine_(engine), id_(id), name_(std::move(name)), body_(std::move(body)) {}
+Process::Process(Engine& engine, std::string name, Body body, Owned owned)
+    : engine_(engine),
+      name_(std::move(name)),
+      body_(std::move(body)),
+      owned_(std::move(owned)) {}
 
 Process::~Process() = default;
 
@@ -143,6 +146,7 @@ void Process::finish() {
   body_ = nullptr;  // release any captured state promptly
   state_ = State::finished;
   engine_.on_process_finished();
+  if (released_) owned_.reset();  // released before it finished
 }
 
 void Process::run_slice() {

@@ -64,6 +64,8 @@ struct ProcessKilled {};
 class Process {
  public:
   using Body = std::function<void(Process&)>;
+  /// An object the Engine destroys with the process (see Engine::spawn).
+  using Owned = std::unique_ptr<void, void (*)(void*)>;
 
   enum class State {
     created,   ///< spawned, body not yet started
@@ -77,9 +79,12 @@ class Process {
   Process(const Process&) = delete;
   Process& operator=(const Process&) = delete;
 
-  [[nodiscard]] std::uint64_t id() const { return id_; }
   [[nodiscard]] const std::string& name() const { return name_; }
   [[nodiscard]] State state() const { return state_; }
+  /// Whether an unfinished process's body has been switched in: false until
+  /// its first resume runs it, and a process killed before that finishes
+  /// without running it.
+  [[nodiscard]] bool started() const { return backend_ != nullptr; }
   [[nodiscard]] Engine& engine() { return engine_; }
   [[nodiscard]] bool killed() const { return kill_requested_; }
   /// Whether the resume that ended, or is now stepping, the last wait was
@@ -137,7 +142,7 @@ class Process {
   friend class Engine;
   friend class detail::ProcessBackend;
 
-  Process(Engine& engine, std::uint64_t id, std::string name, Body body);
+  Process(Engine& engine, std::string name, Body body, Owned owned);
 
   /// Runs the body with the kill/failure wrapper; executed on the backend's
   /// stack. Marks the process finished when the body unwinds.
@@ -156,11 +161,11 @@ class Process {
   /// already ended, or the process has finished). Runs the parked body's
   /// step, or switches the body in.
   void fire_resume(std::uint64_t word);
-  /// Mark finished and release per-process resources kept for the body.
+  /// Mark finished and release per-process resources kept for the body,
+  /// and the owned object once the process has been released.
   void finish();
 
   Engine& engine_;
-  const std::uint64_t id_;
   const std::string name_;
   Body body_;
   State state_ = State::created;
@@ -173,12 +178,14 @@ class Process {
   Step step_ = nullptr;        ///< set while the body is parked on a step
   void* step_arg_ = nullptr;
 
-  // Lifetime (see Engine::release): the record is destroyed once it is
-  // released, finished and reaped, and no queued resume names it.
+  // Lifetime (see Engine::release): the owned object goes once the process
+  // is released and finished; the record once it is also reaped and no
+  // queued resume names it.
   static constexpr std::size_t kNoTombstone = static_cast<std::size_t>(-1);
   bool released_ = false;             ///< its owner will not touch it again
   std::uint32_t queued_resumes_ = 0;  ///< typed resumes queued for it
   std::size_t tombstone_ = kNoTombstone;  ///< index in Engine::tombstones_
+  Owned owned_;                       ///< null once destroyed, or if none
 };
 
 }  // namespace pisces::sim

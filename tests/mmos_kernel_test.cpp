@@ -175,6 +175,36 @@ TEST(Kernel, KillQueuedProcessBeforeFirstDispatch) {
   EXPECT_EQ(k.live_count(), 0u);
 }
 
+// A kill that lands after a dispatch has woken a process, but before its
+// body first runs, finishes it on the spot as for one still queued: its exit
+// callbacks run, the PE dispatches the next process, and the body never runs.
+TEST(Kernel, KillBetweenDispatchAndFirstRunFinishesTheProcess) {
+  Fixture f;
+  auto& k = f.sys.kernel(3);
+  bool ran = false;
+  bool exited = false;
+  bool next_ran = false;
+  Proc& victim = k.create_process("victim", [&ran](Proc&) { ran = true; });
+  victim.on_exit([&exited] { exited = true; });
+  k.create_process("next", [&next_ran](Proc& p) {
+    p.compute(10);
+    next_ran = true;
+  });
+  // The dispatch queued at creation wakes `victim` when its context switch
+  // ends; this kill, queued after it at that tick, fires before the resume
+  // that wake queued.
+  f.eng.schedule(f.machine.costs().context_switch, [&] {
+    EXPECT_EQ(k.current(), &victim);
+    victim.kill();
+  });
+  f.eng.run();
+  EXPECT_FALSE(ran);
+  EXPECT_TRUE(exited);
+  EXPECT_TRUE(victim.finished());
+  EXPECT_TRUE(next_ran);
+  EXPECT_EQ(k.live_count(), 0u);
+}
+
 // A killed process drops its body, and with it whatever the body captured
 // (a force member's body holds the force's shared state), whether the kill
 // unwound it from a wait or came before it ever ran.
@@ -201,10 +231,10 @@ TEST(Kernel, KilledBodyDropsWhatItCaptured) {
   EXPECT_TRUE(blocked_watch.expired());
 }
 
-// Released records go once they have finished and no queued event names
-// them; unreleased ones stay readable. A block's deadline names only the
-// sim::Process, so it holds the clock but not the record. The engine still
-// counts every finished process.
+// Released records go once they have finished; unreleased ones stay
+// readable, and procs() lists only the unfinished. A block's deadline names
+// only the sim::Process, so it holds the clock but not the record. The
+// engine still counts every finished process.
 TEST(Kernel, ReleasedRecordsGoOnceNothingNamesThem) {
   Fixture f;
   auto& k = f.sys.kernel(3);
@@ -221,25 +251,50 @@ TEST(Kernel, ReleasedRecordsGoOnceNothingNamesThem) {
     k.release(timed);
   });
   f.eng.run_until(100'000);
-  EXPECT_EQ(k.procs().size(), 3u);   // `timed` finished after its release
-  k.release(done);
-  EXPECT_EQ(k.procs().size(), 2u);   // finished, nothing queued: gone now
+  ASSERT_EQ(k.procs().size(), 1u);   // the other three have finished
+  EXPECT_EQ(k.procs().front(), &early);
+  k.release(done);                   // finished: gone now
+  EXPECT_EQ(k.procs().size(), 1u);
   EXPECT_EQ(k.live_count(), 1u);     // `early`, still blocked
   f.eng.run_until(999'999);
-  EXPECT_EQ(k.procs().size(), 2u);
+  EXPECT_EQ(k.procs().size(), 1u);
   EXPECT_EQ(f.eng.pending_events(), 1u);  // `timed`'s stale deadline
   EXPECT_EQ(f.eng.run(), 1'000'000);
-  EXPECT_EQ(k.procs().size(), 2u);
+  EXPECT_EQ(k.procs().size(), 1u);
   early.kill();
   f.eng.run();
-  ASSERT_EQ(k.procs().size(), 1u);
-  EXPECT_EQ(k.procs().front().get(), &kept);
-  EXPECT_EQ(kept.cpu_ticks(), 10 + f.machine.costs().process_create +
-                                  f.machine.costs().process_exit);
-  EXPECT_TRUE(k.live_count_consistent());
+  EXPECT_EQ(k.procs().size(), 0u);
   f.eng.reap_finished();
   EXPECT_EQ(f.eng.live_process_count(), 0u);
   EXPECT_EQ(f.eng.reaped_process_count(), 4u);
+  // Never released: its tombstone keeps it readable.
+  EXPECT_EQ(kept.cpu_ticks(), 10 + f.machine.costs().process_create +
+                                  f.machine.costs().process_exit);
+}
+
+// A process created on a halted PE is killed by a kill deferred to the
+// same tick, so callbacks attached after create_process returns still run;
+// its body never does, and a record released at once goes once it has ended.
+TEST(Kernel, ProcessCreatedOnHaltedPeEndsKilledAfterItsCallbacksAttach) {
+  Fixture f;
+  auto& k = f.sys.kernel(3);
+  k.halt();
+  bool ran = false;
+  int exits = 0;
+  Proc& kept = k.create_process("kept", [&ran](Proc&) { ran = true; });
+  Proc& dropped = k.create_process("dropped", [&ran](Proc&) { ran = true; });
+  kept.on_exit([&exits] { ++exits; });
+  dropped.on_exit([&exits] { ++exits; });
+  k.release(dropped);
+  f.eng.run();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(exits, 2);
+  EXPECT_TRUE(kept.finished());
+  EXPECT_TRUE(kept.was_killed());
+  EXPECT_EQ(k.live_count(), 0u);
+  k.release(kept);
+  f.eng.reap_finished();
+  EXPECT_EQ(f.eng.reaped_process_count(), 2u);
 }
 
 TEST(Kernel, ExitCallbacksRunOnNormalCompletion) {
@@ -532,17 +587,18 @@ TEST_P(KernelLoadTest, CpuConservation) {
   const int n = GetParam();
   sim::Tick total_work = 0;
   auto& k = f.sys.kernel(5);
+  std::vector<const Proc*> created;
   for (int i = 0; i < n; ++i) {
     const sim::Tick work = 100 + 137 * i;
     total_work += work;
-    k.create_process("p" + std::to_string(i),
-                     [work](Proc& p) { p.compute(work); });
+    created.push_back(&k.create_process("p" + std::to_string(i),
+                                        [work](Proc& p) { p.compute(work); }));
   }
   const sim::Tick end = f.eng.run();
   const auto& c = f.machine.costs();
   const sim::Tick overhead_per = c.process_create + c.process_exit;
   sim::Tick total_cpu = 0;
-  for (const auto& p : k.procs()) total_cpu += p->cpu_ticks();
+  for (const Proc* p : created) total_cpu += p->cpu_ticks();
   EXPECT_EQ(total_cpu, total_work + n * overhead_per);
   EXPECT_GE(end, total_cpu);  // context switches add on top
 }

@@ -292,10 +292,10 @@ TEST(EventQueue, PopPushInterleavingKeepsSameTickStable) {
   EXPECT_EQ(order, want);
 }
 
-// Out-of-order pushes (a tick below the one currently being processed) force
-// the same-tick FIFO to spill back into the heap; order must stay exact
-// (tick first, then insertion sequence). The Engine never does this — it
-// clamps to now — but the queue must not silently misorder if misused.
+// Out-of-order pushes (a tick below the one just popped) go into the same
+// heap as every other push; order must stay exact (tick first, then
+// insertion sequence). The Engine never does this — it clamps to now — but
+// the queue must not silently misorder if misused.
 TEST(EventQueue, OutOfOrderPushAfterPopStaysTimeOrdered) {
   EventQueue q;
   std::vector<int> order;
@@ -303,21 +303,21 @@ TEST(EventQueue, OutOfOrderPushAfterPopStaysTimeOrdered) {
   q.push(10, rec(0));
   q.push(10, rec(1));
   q.pop()();          // fires 0; tick 10 becomes current
-  q.push(10, rec(2)); // same-tick fast path
-  q.push(3, rec(3));  // below current tick: heap
+  q.push(10, rec(2)); // at the tick just popped: after 1
+  q.push(3, rec(3));  // below it: fires first
   while (!q.empty()) q.pop()();
   EXPECT_EQ(order, (std::vector<int>{0, 3, 1, 2}));
 }
 
-TEST(EventQueue, SameTickFastPathReportsSizeAndNextTick) {
+TEST(EventQueue, PushAtPoppedTickCountsInSizeAndNextTick) {
   EventQueue q;
   q.push(5, [] {});
   q.push(5, [] {});
   Tick at = 0;
   q.pop(&at)();
   EXPECT_EQ(at, 5);
-  q.push(5, [] {});  // lands in the FIFO
-  q.push(9, [] {});  // lands in the heap
+  q.push(5, [] {});  // at the tick just popped
+  q.push(9, [] {});  // later
   EXPECT_EQ(q.size(), 3u);
   EXPECT_EQ(q.next_tick(), 5);
   q.pop(&at)();
@@ -561,7 +561,7 @@ TEST_P(BackendTest, ResumeAndClosuresAtOneTickFireInPushOrder) {
 // schedule_reserved() fires where schedule() at reservation time would have
 // put the event: after events queued before the reservation, before events
 // queued after it, both at a future tick and at the current tick (where the
-// later pushes take the same-tick fast path), and against a typed resume.
+// later pushes share the tick being fired), and against a typed resume.
 TEST_P(BackendTest, ReservedPlaceFiresWhereScheduleWouldHave) {
   auto simulate = [backend = GetParam()](bool reserve) {
     Engine eng(backend);
@@ -664,14 +664,14 @@ TEST(EventQueue, ClosureSlotsAreReused) {
   EXPECT_EQ(q.closure_slots(), 4u);
 }
 
-TEST(EventQueue, AdvanceKeepsSameTickOrder) {
+TEST(EventQueue, PushesAfterAPopFireByTickThenScheduleOrder) {
   EventQueue q;
   std::vector<int> order;
   auto rec = [&order](int i) { return [&order, i] { order.push_back(i); }; };
   q.push(5, rec(0));
   q.push(12, rec(1));
   q.pop()();          // tick 5 is current
-  q.push(9, rec(2));  // same-tick fast path
+  q.push(9, rec(2));  // a later tick, before the one already queued
   q.push(12, rec(3));
   q.push(9, rec(4));
   EXPECT_EQ(q.next_tick(), 9);
